@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .engine import (
     ADOPT_BOTH,
@@ -21,10 +21,13 @@ from .engine import (
     SimParams,
 )
 from .harness import (
+    DEFAULT_PARAMS,
     DEFAULT_RUNS,
     DEFAULT_SEED,
     PRESET_NAMES,
+    SWEEP_PARAMS,
     SweepSpec,
+    apply_param,
     collect_trajectories,
     emit_csv,
     metric_names,
@@ -48,25 +51,32 @@ __all__ = ["CliConfig", "cmd_example", "main", "parse_args"]
 
 OUT_ENV_VAR = "POSSIBLY_OUT"
 
-_SWEEP_PARAMS = ("agents", "states", "evidence-rate", "noise", "theta", "steps")
-_INT_PARAMS = ("agents", "states", "steps")
+# Every option of `run` and `sweep`, in flag order. The long flag is also
+# the config key; it maps to the option's type or tuple of choices and to
+# the SimParams field it sets (None for options resolved on their own). The
+# sweepable parameters and their defaults come from the harness.
+_OPTIONS = {
+    **{key: (cast, field) for key, (field, cast) in SWEEP_PARAMS.items()},
+    "runs": (int, None),
+    "seed": (int, None),
+    "model": ((POSSIBILISTIC, PROBABILISTIC), "model"),
+    "fusion": (("on", "off"), "fusion_enabled"),
+    "fusion-adoption": ((ADOPT_BOTH, ADOPT_RANDOM_ONE), "fusion_adoption"),
+    "workers": (int, None),
+    "out": (str, None),
+}
 
-# keys accepted in a config file; identical to the long flag names
-_CONFIG_KEYS = ("agents", "states", "evidence-rate", "noise", "theta", "steps",
-                "runs", "seed", "model", "fusion", "fusion-adoption",
-                "workers", "out")
-
-_DEFAULTS = {
-    "agents": 100,
-    "states": 5,
-    "evidence-rate": 0.05,
-    "noise": 0.0,
-    "theta": 20.0,
-    "steps": 1500,
-    "model": POSSIBILISTIC,
-    "fusion": "on",
-    "fusion-adoption": ADOPT_BOTH,
-    "workers": 1,
+# Range checks: flag -> (test, diagnostic). A value is rejected unless its
+# test holds, so NaN fails every check. theta is checked by FrankParameter.
+_RANGES = {
+    "agents": (lambda v: v >= 2, "need at least 2 agents"),
+    "states": (lambda v: v >= 2, "need at least 2 states"),
+    "evidence-rate": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "noise": (lambda v: v >= 0.0, "must be >= 0"),
+    "steps": (lambda v: v >= 0, "must be >= 0"),
+    "runs": (lambda v: v >= 1, "must be >= 1"),
+    "seed": (lambda v: 0 <= v < 2 ** 64, "must be a 64-bit unsigned integer"),
+    "workers": (lambda v: v >= 1, "must be >= 1"),
 }
 
 
@@ -97,43 +107,30 @@ def _fail(flag: str, message: str):
     raise SystemExit(2)
 
 
+def _add_options(parser, keys) -> None:
+    for key in keys:
+        kind = _OPTIONS[key][0]
+        if isinstance(kind, tuple):
+            parser.add_argument(f"--{key}", choices=kind, default=None)
+        else:
+            parser.add_argument(f"--{key}", type=kind, default=None)
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="possibly", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_config=True):
-        p.add_argument("--agents", type=int, default=None)
-        p.add_argument("--states", type=int, default=None)
-        p.add_argument("--evidence-rate", dest="evidence_rate", type=float,
-                       default=None)
-        p.add_argument("--noise", type=float, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--runs", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--model", choices=(POSSIBILISTIC, PROBABILISTIC),
-                       default=None)
-        p.add_argument("--fusion", choices=("on", "off"), default=None)
-        p.add_argument("--fusion-adoption", dest="fusion_adoption",
-                       choices=(ADOPT_BOTH, ADOPT_RANDOM_ONE), default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--out", default=None)
-        if with_config:
-            p.add_argument("--config", default=None)
-
     p_run = sub.add_parser("run", help="simulate one configuration")
-    add_common(p_run)
-
     p_sweep = sub.add_parser("sweep", help="sweep one parameter over a grid")
-    p_sweep.add_argument("param", choices=_SWEEP_PARAMS)
+    p_sweep.add_argument("param", choices=tuple(SWEEP_PARAMS))
     p_sweep.add_argument("grid", help="comma-separated values, e.g. 0.1,1,10")
-    add_common(p_sweep)
+    for p in (p_run, p_sweep):
+        _add_options(p, _OPTIONS)
+        p.add_argument("--config", default=None)
 
     p_preset = sub.add_parser("preset", help="reproduce a stock experiment")
     p_preset.add_argument("name", choices=PRESET_NAMES)
-    p_preset.add_argument("--out", default=None)
-    p_preset.add_argument("--workers", type=int, default=None)
-    p_preset.add_argument("--seed", type=int, default=None)
+    _add_options(p_preset, ("out", "workers", "seed"))
 
     sub.add_parser("example", help="print the worked three-state example")
     return top
@@ -154,70 +151,61 @@ def _read_config(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if not eq or not key or not value:
             _fail("--config", f"line {ln}: expected `key = value`")
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             _fail("--config", f"line {ln}: unknown key {key!r}")
         mapping[key] = value
     return mapping
 
 
 def _cast_config(key: str, raw: str):
-    try:
-        if key in ("agents", "states", "steps", "runs", "workers", "seed"):
-            return int(raw)
-        if key in ("evidence-rate", "noise", "theta"):
-            return float(raw)
-    except ValueError:
-        _fail(f"--{key}", f"invalid value {raw!r} (from config file)")
-    if key == "model" and raw not in (POSSIBILISTIC, PROBABILISTIC):
-        _fail("--model", f"invalid value {raw!r} (from config file)")
-    if key == "fusion" and raw not in ("on", "off"):
-        _fail("--fusion", f"invalid value {raw!r} (from config file)")
-    if key == "fusion-adoption" and raw not in (ADOPT_BOTH, ADOPT_RANDOM_ONE):
-        _fail("--fusion-adoption", f"invalid value {raw!r} (from config file)")
-    return raw
+    kind = _OPTIONS[key][0]
+    if isinstance(kind, tuple):
+        if raw in kind:
+            return raw
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    _fail(f"--{key}", f"invalid value {raw!r} (from config file)")
 
 
-def _resolve(args, config: dict, key: str, default=None):
+def _resolve(args, config: dict, key: str):
+    """The flag's value, else the config file's, else None."""
     flag_value = getattr(args, key.replace("-", "_"), None)
     if flag_value is not None:
         return flag_value
     if key in config:
         return _cast_config(key, config[key])
-    return _DEFAULTS.get(key, default)
+    return None
+
+
+def _checked(key: str, value):
+    if key in _RANGES:
+        test, message = _RANGES[key]
+        if not test(value):
+            _fail(f"--{key}", message)
+    return value
 
 
 def _resolved_params(args, config: dict, seed: int) -> SimParams:
-    agents = _resolve(args, config, "agents")
-    states = _resolve(args, config, "states")
-    rho = _resolve(args, config, "evidence-rate")
-    sigma = _resolve(args, config, "noise")
-    theta = _resolve(args, config, "theta")
-    steps = _resolve(args, config, "steps")
-    model = _resolve(args, config, "model")
-    fusion = _resolve(args, config, "fusion")
-    adoption = _resolve(args, config, "fusion-adoption")
-
-    if agents < 2:
-        _fail("--agents", "need at least 2 agents")
-    if states < 2:
-        _fail("--states", "need at least 2 states")
-    if not 0.0 <= rho <= 1.0:
-        _fail("--evidence-rate", "must lie in [0, 1]")
-    if sigma < 0.0:
-        _fail("--noise", "must be >= 0")
-    if steps < 0:
-        _fail("--steps", "must be >= 0")
-    try:
-        frank = FrankParameter(theta=theta)
-    except ValueError as exc:
-        _fail("--theta", str(exc))
-    try:
-        return SimParams(agents=agents, states=states, rho=rho, sigma=sigma,
-                         theta=frank, steps=steps, model=model, seed=seed,
-                         fusion_enabled=(fusion == "on"),
-                         fusion_adoption=adoption)
-    except ValueError as exc:
-        _fail("--seed" if "seed" in str(exc) else "run", str(exc))
+    """DEFAULT_PARAMS with every field that a flag or config entry sets."""
+    given = {key: _resolve(args, config, key)
+             for key, (_, field) in _OPTIONS.items() if field}
+    given = {key: _checked(key, value)
+             for key, value in given.items() if value is not None}
+    params = replace(DEFAULT_PARAMS, seed=seed)
+    for key, value in given.items():
+        try:
+            if key in SWEEP_PARAMS:
+                params = apply_param(params, key, value)
+            else:
+                field = _OPTIONS[key][1]
+                value = value == "on" if key == "fusion" else value
+                params = replace(params, **{field: value})
+        except ValueError as exc:
+            _fail(f"--{key}", str(exc))
+    return params
 
 
 def _resolve_seed(args, config: dict, required: bool) -> int:
@@ -226,18 +214,12 @@ def _resolve_seed(args, config: dict, required: bool) -> int:
         if required:
             _fail("--seed", "required; pass an explicit seed for reproducibility")
         seed = DEFAULT_SEED
-    if not 0 <= seed < 2 ** 64:
-        _fail("--seed", "must be a 64-bit unsigned integer")
-    return seed
+    return _checked("seed", seed)
 
 
-def _resolve_count(args, config: dict, key: str, default: int, minimum: int) -> int:
-    value = _resolve(args, config, key, default)
-    if value is None:
-        value = default
-    if value < minimum:
-        _fail(f"--{key}", f"must be >= {minimum}")
-    return value
+def _resolve_count(args, config: dict, key: str, default: int) -> int:
+    value = _resolve(args, config, key)
+    return _checked(key, default if value is None else value)
 
 
 def _resolve_out(args, config: dict) -> str:
@@ -258,7 +240,7 @@ def parse_args(argv=None) -> CliConfig:
         return CliConfig(command="example")
 
     config = _read_config(args.config) if getattr(args, "config", None) else {}
-    workers = _resolve_count(args, config, "workers", default=1, minimum=1)
+    workers = _resolve_count(args, config, "workers", default=1)
 
     if args.command == "preset":
         seed = _resolve_seed(args, config, required=False)
@@ -271,29 +253,35 @@ def parse_args(argv=None) -> CliConfig:
     out = _resolve_out(args, config)
 
     if args.command == "run":
-        runs = _resolve_count(args, config, "runs", default=1, minimum=1)
+        runs = _resolve_count(args, config, "runs", default=1)
         return CliConfig(command="run", params=params, runs=runs,
                          workers=workers, out=out, seed=seed)
 
-    runs = _resolve_count(args, config, "runs", default=DEFAULT_RUNS, minimum=1)
-    grid = _parse_grid(args.param, args.grid)
+    runs = _resolve_count(args, config, "runs", default=DEFAULT_RUNS)
+    grid = _parse_grid(params, args.param, args.grid)
     return CliConfig(command="sweep", params=params, runs=runs,
                      workers=workers, out=out, sweep_param=args.param,
                      sweep_grid=grid, seed=seed)
 
 
-def _parse_grid(param: str, text: str) -> tuple:
+def _parse_grid(base: SimParams, param: str, text: str) -> tuple:
+    cast = SWEEP_PARAMS[param][1]
     values = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         try:
-            values.append(int(piece) if param in _INT_PARAMS else float(piece))
+            values.append(cast(piece))
         except ValueError:
             _fail("grid", f"invalid value {piece!r} for {param}")
     if not values:
         _fail("grid", "needs at least one value")
+    for value in values:
+        try:
+            apply_param(base, param, value)
+        except ValueError as exc:
+            _fail("grid", str(exc))
     return tuple(values)
 
 

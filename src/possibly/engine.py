@@ -25,31 +25,22 @@ so that changing rho or sigma alone never reorders the remaining stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .environment import EnvironmentSpec, NoiseSpec
-from .possibility import (
-    FrankParameter,
-    PossibilityDistribution,
-    _fuse_rows,
-    _pignistic_rows,
-)
-from .probability import DEGENERATE_MASS, ProbabilityDistribution
+from .possibility import FrankParameter, _fuse_rows, _pignistic_rows
+from .probability import DEGENERATE_MASS
 
 __all__ = [
     "POSSIBILISTIC",
     "PROBABILISTIC",
     "SimParams",
-    "PopulationSnapshot",
     "MetricsRecord",
     "RunResult",
-    "init_population",
-    "step",
     "run",
-    "population_metrics",
 ]
 
 POSSIBILISTIC = "possibilistic"
@@ -98,29 +89,18 @@ class SimParams:
 
 
 @dataclass(frozen=True)
-class PopulationSnapshot:
-    """The population's beliefs after a given number of steps."""
-
-    step: int
-    model: str
-    beliefs: tuple
-
-
-@dataclass(frozen=True)
 class MetricsRecord:
     """Population aggregates at one step.
 
     For the possibilistic model, mean_poss_best and mean_nec_best are the
     agent averages of Pi({s_n}) and N({s_n}); for the probabilistic model,
-    mean_prob_best averages p(s_n). mean_belief is the agent-averaged belief
-    vector over all states.
+    mean_prob_best averages p(s_n).
     """
 
     step: int
     mean_poss_best: float | None = None
     mean_nec_best: float | None = None
     mean_prob_best: float | None = None
-    mean_belief: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -149,13 +129,12 @@ class RunResult(Sequence):
 # population array helpers
 # ---------------------------------------------------------------------------
 
-def _beliefs_to_array(pop: PopulationSnapshot) -> np.ndarray:
-    return np.asarray([b.values for b in pop.beliefs], dtype=float)
-
-
-def _array_to_beliefs(b: np.ndarray, model: str) -> tuple:
-    cls = PossibilityDistribution if model == POSSIBILISTIC else ProbabilityDistribution
-    return tuple(cls(row.tolist()) for row in b)
+def _initial_beliefs(params: SimParams) -> np.ndarray:
+    """All agents fully ignorant: vacuous possibility rows or uniform rows."""
+    k, n = params.agents, params.states
+    if params.model == POSSIBILISTIC:
+        return np.ones((k, n))
+    return np.full((k, n), 1.0 / n)
 
 
 def _draw_pair(rng: np.random.Generator, k: int) -> tuple[int, int]:
@@ -231,47 +210,18 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
 
 
 def _metrics_from_array(b: np.ndarray, step_index: int, model: str) -> MetricsRecord:
-    mean_belief = tuple(b.mean(axis=0).tolist())
     if model == POSSIBILISTIC:
         return MetricsRecord(
             step=step_index,
             mean_poss_best=float(b[:, -1].mean()),
             mean_nec_best=float((1.0 - b[:, :-1].max(axis=1)).mean()),
-            mean_belief=mean_belief,
         )
-    return MetricsRecord(
-        step=step_index,
-        mean_prob_best=float(b[:, -1].mean()),
-        mean_belief=mean_belief,
-    )
+    return MetricsRecord(step=step_index, mean_prob_best=float(b[:, -1].mean()))
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def init_population(params: SimParams) -> PopulationSnapshot:
-    """All agents fully ignorant: vacuous possibility rows or uniform rows."""
-    if params.model == POSSIBILISTIC:
-        beliefs = tuple(PossibilityDistribution((1.0,) * params.states)
-                        for _ in range(params.agents))
-    else:
-        beliefs = tuple(ProbabilityDistribution((1.0 / params.states,) * params.states)
-                        for _ in range(params.agents))
-    return PopulationSnapshot(step=0, model=params.model, beliefs=beliefs)
-
-
-def step(pop: PopulationSnapshot, params: SimParams, env: EnvironmentSpec,
-         noise: NoiseSpec, rng: np.random.Generator) -> PopulationSnapshot:
-    """One fusion-then-evidence step; see the module docstring for the draw
-    schedule. rng is the caller-owned stream."""
-    if len(pop.beliefs) != params.agents or pop.model != params.model:
-        raise ValueError("snapshot does not match params")
-    b = _beliefs_to_array(pop)
-    _sim_step(b, params, np.asarray(env.qualities), noise.sigma, rng)
-    return PopulationSnapshot(step=pop.step + 1, model=params.model,
-                              beliefs=_array_to_beliefs(b, params.model))
-
 
 def run(params: SimParams, env: EnvironmentSpec | None = None,
         noise: NoiseSpec | None = None) -> RunResult:
@@ -285,11 +235,7 @@ def run(params: SimParams, env: EnvironmentSpec | None = None,
         raise ValueError("environment does not match params")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(params.seed)))
     qualities = np.asarray(env.qualities)
-    k, n = params.agents, params.states
-    if params.model == POSSIBILISTIC:
-        b = np.ones((k, n))
-    else:
-        b = np.full((k, n), 1.0 / n)
+    b = _initial_beliefs(params)
     records = [_metrics_from_array(b, 0, params.model)]
     degenerate = 0
     for t in range(1, params.steps + 1):
@@ -298,8 +244,3 @@ def run(params: SimParams, env: EnvironmentSpec | None = None,
     return RunResult(params=params, records=tuple(records),
                      degenerate_fusions=degenerate)
 
-
-def population_metrics(pop: PopulationSnapshot) -> MetricsRecord:
-    """Agent-averaged aggregates of the snapshot's beliefs."""
-    b = np.asarray([bl.values for bl in pop.beliefs], dtype=float)
-    return _metrics_from_array(b, pop.step, pop.model)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import (
-    ADOPT_BOTH,
     POSSIBILISTIC,
     PROBABILISTIC,
     MetricsRecord,
@@ -30,12 +29,14 @@ from .possibility import FrankParameter, PossibilityDistribution, fuse
 __all__ = [
     "AggregateRecord",
     "apply_param",
+    "DEFAULT_PARAMS",
     "DEFAULT_RUNS",
     "DEFAULT_SEED",
     "HISTOGRAM_BINS",
     "Preset",
     "PresetPart",
     "PRESET_NAMES",
+    "SWEEP_PARAMS",
     "SweepSpec",
     "TrajectoryRow",
     "aggregate_trajectories",
@@ -59,15 +60,20 @@ HISTOGRAM_BINS = 20
 CAPTURE_FINAL = "final"
 CAPTURE_TRAJECTORY = "trajectory"
 
-# Sweepable parameter names (public, kebab-case as on the command line),
-# mapped to SimParams fields.
-_SWEEP_FIELDS = {
+# The documented defaults of every run: the fig4a parameterisation.
+DEFAULT_PARAMS = SimParams(agents=100, states=5, rho=0.05, sigma=0.0,
+                           theta=FrankParameter(theta=20.0), steps=1500,
+                           model=POSSIBILISTIC, seed=DEFAULT_SEED)
+
+# Sweepable parameters, kebab-case as on the command line, in the order the
+# CLI lists them: name -> (SimParams field, type of a grid value).
+SWEEP_PARAMS = {
     "agents": ("agents", int),
     "states": ("states", int),
     "evidence-rate": ("rho", float),
     "noise": ("sigma", float),
+    "theta": ("theta", float),  # wrapped into a FrankParameter
     "steps": ("steps", int),
-    "theta": None,  # wraps into a FrankParameter
 }
 
 
@@ -75,14 +81,15 @@ def apply_param(base: SimParams, param: str | None, value) -> SimParams:
     """Return base with one swept parameter replaced."""
     if param is None:
         return base
-    if param not in _SWEEP_FIELDS:
+    if param not in SWEEP_PARAMS:
         raise ValueError(
             f"unknown sweep parameter {param!r}; "
-            f"choose from {', '.join(sorted(_SWEEP_FIELDS))}")
-    if param == "theta":
-        return replace(base, theta=FrankParameter(theta=float(value)))
-    field, cast = _SWEEP_FIELDS[param]
-    return replace(base, **{field: cast(value)})
+            f"choose from {', '.join(sorted(SWEEP_PARAMS))}")
+    field, cast = SWEEP_PARAMS[param]
+    value = cast(value)
+    if field == "theta":
+        value = FrankParameter(theta=value)
+    return replace(base, **{field: value})
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,10 @@ def _run_job(args):
 def _map_jobs(jobs, workers: int):
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if workers == 1 or len(jobs) <= 1:
+    # the pool starts all its processes up front, so ask for no more than
+    # there are jobs and CPUs to give them
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [_run_job(j) for j in jobs]
     # chunked executor.map keeps results in submission order, so worker
     # count can't change what the fold below sees
@@ -370,16 +380,6 @@ _RHO_GRID = (0.01,) + tuple(np.round(np.linspace(0.1, 1.0, 10), 10).tolist())
 _RHO_ZOOM_GRID = tuple(np.round(np.linspace(0.01, 0.11, 11), 10).tolist())
 
 
-def _base_params(model: str = POSSIBILISTIC, *, rho: float = 0.05,
-                 sigma: float = 0.0, steps: int = 1500, seed: int = DEFAULT_SEED,
-                 fusion_enabled: bool = True) -> SimParams:
-    """Shared experiment defaults: 100 agents, 5 states, theta=20."""
-    return SimParams(agents=100, states=5, rho=rho, sigma=sigma,
-                     theta=FrankParameter(theta=20.0), steps=steps,
-                     model=model, seed=seed, fusion_enabled=fusion_enabled,
-                     fusion_adoption=ADOPT_BOTH)
-
-
 def preset(name: str, seed: int = DEFAULT_SEED) -> Preset:
     """The locked parameterisation behind each figure id."""
     if name not in PRESET_NAMES:
@@ -388,8 +388,8 @@ def preset(name: str, seed: int = DEFAULT_SEED) -> Preset:
 
     def part(stem, *, model=POSSIBILISTIC, param=None, grid=(None,),
              capture=CAPTURE_FINAL, kind=None, metric=None, **kw):
-        spec = SweepSpec(base=_base_params(model, seed=seed, **kw),
-                         param=param, grid=grid, capture=capture)
+        base = replace(DEFAULT_PARAMS, model=model, seed=seed, **kw)
+        spec = SweepSpec(base=base, param=param, grid=grid, capture=capture)
         if kind is None:
             kind = "trajectory" if capture == CAPTURE_TRAJECTORY else "aggregate"
         return PresetPart(stem=stem, kind=kind, spec=spec, metric=metric)

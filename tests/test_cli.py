@@ -1,11 +1,30 @@
 """Command-line parsing, precedence rules, and end-to-end subcommands."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
-from possibly import DEFAULT_SEED, POSSIBILISTIC, PROBABILISTIC
+from possibly import DEFAULT_SEED, POSSIBILISTIC, PROBABILISTIC, preset
 from possibly.cli import OUT_ENV_VAR, cmd_example, main, parse_args
+
+THETA_ZERO = ("theta = 0 is not a member of the Frank family; "
+              "use the product limit variant")
+
+# argv, the flag it names, and the rest of its one-line diagnostic
+RANGE_ERRORS = [
+    (["run", "--seed", "1", "--agents", "1"], "--agents", "need at least 2 agents"),
+    (["run", "--seed", "1", "--states", "1"], "--states", "need at least 2 states"),
+    (["run", "--seed", "1", "--evidence-rate", "1.5"], "--evidence-rate",
+     "must lie in [0, 1]"),
+    (["run", "--seed", "1", "--noise", "-0.1"], "--noise", "must be >= 0"),
+    (["run", "--seed", "1", "--steps", "-1"], "--steps", "must be >= 0"),
+    (["run", "--seed", "-1"], "--seed", "must be a 64-bit unsigned integer"),
+    (["run", "--seed", str(2 ** 64)], "--seed", "must be a 64-bit unsigned integer"),
+    (["run", "--seed", "1", "--workers", "0"], "--workers", "must be >= 1"),
+    (["run", "--seed", "1", "--runs", "0"], "--runs", "must be >= 1"),
+    (["run", "--seed", "1", "--noise", "nan"], "--noise", "must be >= 0"),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -31,6 +50,7 @@ class TestParseArgs:
         assert p.model == POSSIBILISTIC
         assert p.fusion_enabled and p.seed == 42
         assert cfg.runs == 1 and cfg.workers == 1 and cfg.out == "."
+        assert p == replace(preset("fig4a").parts[0].spec.base, seed=42)
 
     def test_flags_override_defaults(self):
         cfg = parse_args(["run", "--seed", "1", "--agents", "8", "--states", "3",
@@ -58,24 +78,14 @@ class TestParseArgs:
 
     def test_theta_zero_rejected_by_flag_name(self, capsys):
         assert parse_error(["run", "--seed", "1", "--theta", "0"]) == 2
-        assert "--theta" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --theta: {THETA_ZERO}\n"
 
-    @pytest.mark.parametrize("argv,flag", [
-        (["run", "--seed", "1", "--agents", "1"], "--agents"),
-        (["run", "--seed", "1", "--states", "1"], "--states"),
-        (["run", "--seed", "1", "--evidence-rate", "1.5"], "--evidence-rate"),
-        (["run", "--seed", "1", "--noise", "-0.1"], "--noise"),
-        (["run", "--seed", "1", "--steps", "-1"], "--steps"),
-        (["run", "--seed", "-1"], "--seed"),
-        (["run", "--seed", str(2 ** 64)], "--seed"),
-        (["run", "--seed", "1", "--workers", "0"], "--workers"),
-        (["run", "--seed", "1", "--runs", "0"], "--runs"),
-    ])
-    def test_range_errors_name_the_flag(self, argv, flag, capsys):
+    @pytest.mark.parametrize(
+        "argv,flag,message", RANGE_ERRORS,
+        ids=[f"argv{i}-{flag}" for i, (_, flag, _) in enumerate(RANGE_ERRORS)])
+    def test_range_errors_name_the_flag(self, argv, flag, message, capsys):
         assert parse_error(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and flag in err
-        assert len(err.strip().splitlines()) == 1
+        assert capsys.readouterr().err == f"error: {flag}: {message}\n"
 
     def test_bad_choice_and_bad_subcommand(self, capsys):
         assert parse_error(["run", "--seed", "1", "--model", "bayesian"]) == 2
@@ -93,8 +103,14 @@ class TestParseArgs:
 
     def test_sweep_grid_errors(self, capsys):
         assert parse_error(["sweep", "noise", "0.1,abc", "--seed", "1"]) == 2
-        assert "abc" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: grid: invalid value 'abc' for noise\n"
         assert parse_error(["sweep", "noise", ",", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "error: grid: needs at least one value\n"
+        # values out of range fail at parse time, named as SimParams names them
+        assert parse_error(["sweep", "agents", "1,2", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "error: grid: need at least 2 agents\n"
+        assert parse_error(["sweep", "noise", "nan", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "error: grid: sigma must be >= 0\n"
 
     def test_sweep_runs_default(self):
         assert parse_args(["sweep", "noise", "0.1", "--seed", "1"]).runs == 100
@@ -139,8 +155,23 @@ class TestConfigFile:
     def test_bad_value_mentions_config_origin(self, tmp_path, capsys):
         cfg_path = self.write(tmp_path, "steps = soon\n")
         assert parse_error(["run", "--seed", "1", "--config", cfg_path]) == 2
-        err = capsys.readouterr().err
-        assert "--steps" in err and "config" in err
+        assert (capsys.readouterr().err
+                == "error: --steps: invalid value 'soon' (from config file)\n")
+
+    @pytest.mark.parametrize("text,line", [
+        ("model = bayes\n",
+         "error: --model: invalid value 'bayes' (from config file)"),
+        ("fusion = maybe\n",
+         "error: --fusion: invalid value 'maybe' (from config file)"),
+        ("agents = 1\n", "error: --agents: need at least 2 agents"),
+        ("noise = nan\n", "error: --noise: must be >= 0"),
+        ("theta = 0\n", f"error: --theta: {THETA_ZERO}"),
+        ("workers = 0\n", "error: --workers: must be >= 1"),
+    ], ids=("model", "fusion", "agents", "noise", "theta", "workers"))
+    def test_config_value_errors_name_the_flag(self, tmp_path, capsys, text, line):
+        cfg_path = self.write(tmp_path, text)
+        assert parse_error(["run", "--seed", "1", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == line + "\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert parse_error(["run", "--seed", "1", "--config",
@@ -245,8 +276,8 @@ class TestMainEndToEnd:
         code = main(["sweep", "theta", "0.5,0", "--seed", "3", "--agents", "4",
                      "--states", "3", "--steps", "2", "--runs", "1",
                      "--out", str(tmp_path)])
-        assert code != 0
-        assert capsys.readouterr().err.startswith("error:")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: grid: {THETA_ZERO}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_preset_prints_each_artifact(self, tmp_path, capsys):

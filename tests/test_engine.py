@@ -15,23 +15,20 @@ from possibly import (
     PROBABILISTIC,
     EnvironmentSpec,
     FrankParameter,
-    NoiseSpec,
-    PopulationSnapshot,
     PossibilityDistribution,
     ProbabilityDistribution,
     SimParams,
     fuse,
-    init_population,
     pignistic,
-    population_metrics,
     possibilistic_evidence,
     probabilistic_evidence,
     product_fuse,
     run,
-    step,
 )
+from possibly.engine import _initial_beliefs, _metrics_from_array, _sim_step
 
 THETA20 = FrankParameter(theta=20.0)
+QUALITIES3 = np.asarray(EnvironmentSpec.default(3).qualities)
 
 
 def params(**kw):
@@ -78,31 +75,27 @@ class TestSimParams:
 
 class TestInitAndMetrics:
     def test_possibilistic_starts_vacuous(self):
-        pop = init_population(params())
-        assert pop.step == 0
-        assert all(b.values == (1.0, 1.0, 1.0) for b in pop.beliefs)
+        assert (_initial_beliefs(params()) == 1.0).all()
 
     def test_probabilistic_starts_uniform(self):
-        pop = init_population(params(model=PROBABILISTIC))
-        for b in pop.beliefs:
-            assert b.values == pytest.approx([1 / 3] * 3, abs=1e-15)
+        b = _initial_beliefs(params(model=PROBABILISTIC))
+        assert b.shape == (4, 3)
+        assert b == pytest.approx(np.full((4, 3), 1 / 3), abs=1e-15)
 
     def test_initial_metrics(self):
-        m = population_metrics(init_population(params()))
+        m = run(params(steps=0))[0]
         assert m.mean_poss_best == 1.0 and m.mean_nec_best == 0.0
-        m = population_metrics(init_population(params(model=PROBABILISTIC)))
+        m = run(params(steps=0, model=PROBABILISTIC))[0]
         assert m.mean_prob_best == pytest.approx(1 / 3, abs=1e-15)
 
     def test_metrics_average_over_agents(self):
-        beliefs = (PossibilityDistribution((0.2, 0.4, 1.0)),
-                   PossibilityDistribution((1.0, 0.6, 0.8)))
-        pop = PopulationSnapshot(step=3, model=POSSIBILISTIC, beliefs=beliefs)
-        m = population_metrics(pop)
+        b = np.array([[0.2, 0.4, 1.0],
+                      [1.0, 0.6, 0.8]])
+        m = _metrics_from_array(b, 3, POSSIBILISTIC)
         assert m.step == 3
         assert m.mean_poss_best == pytest.approx((1.0 + 0.8) / 2)
         # N(s3) = 1 - max(pi(s1), pi(s2)) per agent
         assert m.mean_nec_best == pytest.approx(((1 - 0.4) + (1 - 1.0)) / 2)
-        assert m.mean_belief == pytest.approx((0.6, 0.5, 0.9))
 
 
 class TestRunBasics:
@@ -155,48 +148,21 @@ class TestRunBasics:
         assert result.degenerate_fusions == 0
 
 
-class TestStepApi:
-    def test_step_advances_counter(self):
-        p = params()
-        pop = init_population(p)
-        nxt = step(pop, p, EnvironmentSpec.default(3), NoiseSpec(0.0), fresh_rng(3))
-        assert nxt.step == 1 and pop.step == 0
-
-    def test_snapshot_params_mismatch(self):
-        p = params()
-        pop = init_population(params(agents=5))
-        with pytest.raises(ValueError):
-            step(pop, p, EnvironmentSpec.default(3), NoiseSpec(0.0), fresh_rng(0))
-
-    def test_manual_loop_matches_run(self):
-        p = params(rho=0.6, sigma=0.25, steps=30, seed=17)
-        env = EnvironmentSpec.default(p.states)
-        noise = NoiseSpec(p.sigma)
-        rng = fresh_rng(p.seed)
-        pop = init_population(p)
-        metrics = [population_metrics(pop)]
-        for _ in range(p.steps):
-            pop = step(pop, p, env, noise, rng)
-            metrics.append(population_metrics(pop))
-        assert tuple(metrics) == run(p).records
-
-
 class TestDrawSchedule:
     """Replicates the documented stream consumption order exactly."""
 
-    def beliefs(self):
-        return (PossibilityDistribution((1.0, 0.3, 0.2)),
-                PossibilityDistribution((0.1, 1.0, 0.4)),
-                PossibilityDistribution((0.5, 0.2, 1.0)))
+    START = ((1.0, 0.3, 0.2),
+             (0.1, 1.0, 0.4),
+             (0.5, 0.2, 1.0))
 
     def test_fusion_then_evidence_possibilistic(self):
         p = params(agents=3, rho=1.0, sigma=0.0, steps=1, seed=0)
-        env = EnvironmentSpec.default(3)
-        pop = PopulationSnapshot(step=0, model=POSSIBILISTIC, beliefs=self.beliefs())
-        got = step(pop, p, env, NoiseSpec(0.0), fresh_rng(11))
+        got = np.array(self.START)
+        step_rng = fresh_rng(11)
+        _sim_step(got, p, QUALITIES3, 0.0, step_rng)
 
         rng = fresh_rng(11)
-        b = [np.array(x.values) for x in self.beliefs()]
+        b = [np.array(x) for x in self.START]
         i, j = draw_pair(rng, 3)
         fused = fuse(p.theta, PossibilityDistribution(b[i].tolist()),
                      PossibilityDistribution(b[j].tolist()))
@@ -207,24 +173,26 @@ class TestDrawSchedule:
         for r in range(3):
             s = draw_state(np.array(pignistic(
                 PossibilityDistribution(b[r].tolist())).values), u_state[r])
-            ev = possibilistic_evidence(3, s, env.qualities[s - 1])
+            ev = possibilistic_evidence(3, s, QUALITIES3[s - 1])
             b[r] = np.array(fuse(p.theta,
                                  PossibilityDistribution(b[r].tolist()), ev).values)
         for r in range(3):
-            assert got.beliefs[r].values == pytest.approx(b[r], abs=1e-15)
+            assert got[r] == pytest.approx(b[r], abs=1e-15)
+        # the step consumed exactly the scheduled draws
+        assert step_rng.random() == rng.random()
 
     def test_fusion_then_evidence_probabilistic(self):
         p = params(agents=3, rho=1.0, sigma=0.0, steps=1, seed=0,
                    model=PROBABILISTIC)
-        env = EnvironmentSpec.default(3)
-        start = (ProbabilityDistribution((0.6, 0.3, 0.1)),
-                 ProbabilityDistribution((0.2, 0.5, 0.3)),
-                 ProbabilityDistribution((0.1, 0.1, 0.8)))
-        pop = PopulationSnapshot(step=0, model=PROBABILISTIC, beliefs=start)
-        got = step(pop, p, env, NoiseSpec(0.0), fresh_rng(21))
+        start = ((0.6, 0.3, 0.1),
+                 (0.2, 0.5, 0.3),
+                 (0.1, 0.1, 0.8))
+        got = np.array(start)
+        step_rng = fresh_rng(21)
+        _sim_step(got, p, QUALITIES3, 0.0, step_rng)
 
         rng = fresh_rng(21)
-        b = [np.array(x.values) for x in start]
+        b = [np.array(x) for x in start]
         i, j = draw_pair(rng, 3)
         fused = product_fuse(ProbabilityDistribution(b[i].tolist()),
                              ProbabilityDistribution(b[j].tolist()))
@@ -234,42 +202,40 @@ class TestDrawSchedule:
         rng.standard_normal(3)
         for r in range(3):
             s = draw_state(b[r], u_state[r])
-            ev = probabilistic_evidence(3, s, env.qualities[s - 1])
+            ev = probabilistic_evidence(3, s, QUALITIES3[s - 1])
             b[r] = np.array(product_fuse(ProbabilityDistribution(b[r].tolist()),
                                          ev).values)
         for r in range(3):
-            assert got.beliefs[r].values == pytest.approx(b[r], abs=1e-12)
+            assert got[r] == pytest.approx(b[r], abs=1e-12)
+        assert step_rng.random() == rng.random()
 
     def test_random_one_adoption_changes_single_agent(self):
         p = params(agents=3, rho=0.0, steps=1, seed=0,
                    fusion_adoption=ADOPT_RANDOM_ONE)
-        env = EnvironmentSpec.default(3)
-        pop = PopulationSnapshot(step=0, model=POSSIBILISTIC, beliefs=self.beliefs())
-        got = step(pop, p, env, NoiseSpec(0.0), fresh_rng(7))
+        start = np.array(self.START)
+        got = start.copy()
+        _sim_step(got, p, QUALITIES3, 0.0, fresh_rng(7))
 
         rng = fresh_rng(7)
-        b = [np.array(x.values) for x in self.beliefs()]
+        b = [np.array(x) for x in self.START]
         i, j = draw_pair(rng, 3)
         fused = fuse(p.theta, PossibilityDistribution(b[i].tolist()),
                      PossibilityDistribution(b[j].tolist()))
         target = i if int(rng.integers(2)) == 0 else j
         b[target] = np.array(fused.values)
-        changed = [r for r in range(3)
-                   if got.beliefs[r].values != self.beliefs()[r].values]
+        changed = [r for r in range(3) if not np.array_equal(got[r], start[r])]
         assert changed == [target]
-        assert got.beliefs[target].values == pytest.approx(b[target], abs=1e-15)
+        assert got[target] == pytest.approx(b[target], abs=1e-15)
 
     def test_noise_draws_consumed_even_without_evidence(self):
         """rho=0 still burns the per-agent state/success/noise draws, so the
         pair chosen at the next step is independent of rho."""
         p_quiet = params(agents=6, rho=0.0, steps=2, seed=0)
         p_busy = params(agents=6, rho=1.0, steps=2, seed=0)
-        env = EnvironmentSpec.default(3)
         rng_a = fresh_rng(13)
         rng_b = fresh_rng(13)
-        pop = init_population(p_quiet)
-        step(pop, p_quiet, env, NoiseSpec(0.0), rng_a)
-        step(pop, p_busy, env, NoiseSpec(0.0), rng_b)
+        _sim_step(_initial_beliefs(p_quiet), p_quiet, QUALITIES3, 0.0, rng_a)
+        _sim_step(_initial_beliefs(p_busy), p_busy, QUALITIES3, 0.0, rng_b)
         # both streams must now sit at the same position
         assert rng_a.random() == rng_b.random()
 
@@ -277,25 +243,21 @@ class TestDrawSchedule:
 class TestModelBehaviour:
     def test_possibilistic_beliefs_stay_normalised(self):
         p = params(agents=8, rho=0.7, sigma=0.4, steps=40, seed=3)
-        env = EnvironmentSpec.default(3)
         rng = fresh_rng(p.seed)
-        pop = init_population(p)
+        b = _initial_beliefs(p)
         for _ in range(p.steps):
-            pop = step(pop, p, env, NoiseSpec(p.sigma), rng)
-            for b in pop.beliefs:
-                assert max(b.values) == 1.0
-                assert all(0.0 <= v <= 1.0 for v in b.values)
+            _sim_step(b, p, QUALITIES3, p.sigma, rng)
+            assert (b.max(axis=1) == 1.0).all()
+            assert ((0.0 <= b) & (b <= 1.0)).all()
 
     def test_probabilistic_beliefs_stay_normalised(self):
         p = params(agents=8, rho=0.7, sigma=0.4, steps=40, seed=3,
                    model=PROBABILISTIC)
-        env = EnvironmentSpec.default(3)
         rng = fresh_rng(p.seed)
-        pop = init_population(p)
+        b = _initial_beliefs(p)
         for _ in range(p.steps):
-            pop = step(pop, p, env, NoiseSpec(p.sigma), rng)
-            for b in pop.beliefs:
-                assert sum(b.values) == pytest.approx(1.0, abs=1e-9)
+            _sim_step(b, p, QUALITIES3, p.sigma, rng)
+            assert b.sum(axis=1) == pytest.approx(np.ones(8), abs=1e-9)
 
     def test_noiseless_evidence_is_informative(self):
         # with certain evidence-free dynamics excluded, the best state's

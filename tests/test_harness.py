@@ -26,6 +26,7 @@ from possibly import (
     sweep,
     trajectory_rows,
 )
+from possibly import harness
 from possibly.harness import PRESET_NAMES, PresetPart
 
 THETA20 = FrankParameter(theta=20.0)
@@ -364,3 +365,45 @@ class TestParallelDeterminism:
         emit_csv(sweep(spec, workers=1), p1)
         emit_csv(sweep(spec, workers=3), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+
+class TestWorkerCap:
+    """The pool is sized from the jobs and the CPUs. A fake executor records
+    the size asked for and maps in this process, so no process starts."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        return sizes
+
+    def test_pool_never_exceeds_cpus(self, sizes):
+        spec = SweepSpec(base=tiny_params(steps=1), runs=6)
+        assert sweep(spec, workers=10 ** 6) == sweep(spec, workers=1)
+        assert sizes == [4]
+
+    def test_pool_never_exceeds_jobs(self, sizes):
+        collect_finals(SweepSpec(base=tiny_params(steps=1), runs=3), workers=4)
+        assert sizes == [3]
+
+    def test_one_job_or_one_cpu_runs_serially(self, sizes, monkeypatch):
+        collect_finals(SweepSpec(base=tiny_params(steps=1), runs=1), workers=4)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        collect_finals(SweepSpec(base=tiny_params(steps=1), runs=3), workers=4)
+        assert sizes == []
