@@ -9,6 +9,7 @@ for `run` and `sweep` so results are always reproducible on purpose.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -72,7 +73,7 @@ _RANGES = {
     "agents": (lambda v: v >= 2, "need at least 2 agents"),
     "states": (lambda v: v >= 2, "need at least 2 states"),
     "evidence-rate": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    "noise": (lambda v: v >= 0.0, "must be >= 0"),
+    "noise": (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0"),
     "steps": (lambda v: v >= 0, "must be >= 0"),
     "runs": (lambda v: v >= 1, "must be >= 1"),
     "seed": (lambda v: 0 <= v < 2 ** 64, "must be a 64-bit unsigned integer"),

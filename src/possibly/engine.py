@@ -11,7 +11,8 @@ into its belief.
 
 Runs are deterministic functions of their parameters. Each run owns a
 counter-based Philox stream seeded from SimParams.seed, and every step
-consumes draws on a fixed schedule regardless of outcomes:
+consumes draws from that run's stream on a fixed schedule regardless of
+outcomes:
 
     fusion on:  agent index i ~ integers(k), partner j ~ integers(k-1)
                 shifted past i; with random-one adoption, one extra
@@ -21,11 +22,19 @@ consumes draws on a fixed schedule regardless of outcomes:
                 success draw failed or sigma = 0)
 
 so that changing rho or sigma alone never reorders the remaining stream.
+
+Runs that share their shape (every SimParams field except rho, sigma and
+seed, see lockstep_key) advance in lockstep: R of them are one (R, k, n)
+array, stepped together, while each draws from its own stream on the
+schedule above. Every row kernel does elementwise or rowwise arithmetic
+only, so a run's records are bit-identical whichever batch it is in; run()
+is the batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,7 +49,9 @@ __all__ = [
     "SimParams",
     "MetricsRecord",
     "RunResult",
+    "lockstep_key",
     "run",
+    "run_batch",
 ]
 
 POSSIBILISTIC = "possibilistic"
@@ -74,8 +85,8 @@ class SimParams:
             raise ValueError("need at least 2 states")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
-        if not self.sigma >= 0.0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.model not in (POSSIBILISTIC, PROBABILISTIC):
@@ -107,6 +118,9 @@ class MetricsRecord:
 class RunResult(Sequence):
     """Metric records for steps 0..steps, plus run diagnostics.
 
+    A result of run_batch(..., final_only=True) holds the last step's record
+    alone.
+
     degenerate_fusions counts product fusions that met disjoint supports and
     fell back to the uniform distribution.
     """
@@ -129,12 +143,19 @@ class RunResult(Sequence):
 # population array helpers
 # ---------------------------------------------------------------------------
 
-def _initial_beliefs(params: SimParams) -> np.ndarray:
-    """All agents fully ignorant: vacuous possibility rows or uniform rows."""
-    k, n = params.agents, params.states
+def lockstep_key(params: SimParams) -> SimParams:
+    """What runs must share to advance in one batch: every field but the
+    per-run rho, sigma and seed, which are blanked."""
+    return replace(params, rho=0.0, sigma=0.0, seed=0)
+
+
+def _initial_beliefs(params: SimParams, runs: int = 1) -> np.ndarray:
+    """All agents of `runs` populations fully ignorant, as a (runs, k, n)
+    array: vacuous possibility rows or uniform rows."""
+    shape = (runs, params.agents, params.states)
     if params.model == POSSIBILISTIC:
-        return np.ones((k, n))
-    return np.full((k, n), 1.0 / n)
+        return np.ones(shape)
+    return np.full(shape, 1.0 / params.states)
 
 
 def _draw_pair(rng: np.random.Generator, k: int) -> tuple[int, int]:
@@ -154,69 +175,108 @@ def _draw_states_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
-              sigma: float, rng: np.random.Generator) -> int:
-    """Advance the population array one step in place; returns the number of
-    degenerate product fusions encountered."""
-    k, n = b.shape
+              rho: np.ndarray, sigma: np.ndarray,
+              rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Advance R same-shape populations, a (R, k, n) array, one step in
+    place. params gives the shared shape; rho, sigma and rngs hold one entry
+    per run. Returns each run's number of degenerate product fusions."""
+    r_count, k, n = b.shape
     possibilistic = params.model == POSSIBILISTIC
-    degenerate = 0
+    degenerate = np.zeros(r_count, dtype=np.int64)
+    run_rows = np.arange(r_count)
+
+    # every run's draws for this step, in its stream's order
+    pairs = np.empty((r_count, 3), dtype=np.intp)  # i, j, adopter
+    u_state, u_succ, eps = np.empty((3, r_count, k))
+    for r, rng in enumerate(rngs):
+        if params.fusion_enabled:
+            i, j = _draw_pair(rng, k)
+            adopter = i
+            if params.fusion_adoption == ADOPT_RANDOM_ONE:
+                adopter = i if int(rng.integers(2)) == 0 else j
+            pairs[r] = i, j, adopter
+        rng.random(out=u_state[r])
+        rng.random(out=u_succ[r])
+        rng.standard_normal(out=eps[r])
 
     if params.fusion_enabled:
-        i, j = _draw_pair(rng, k)
+        bi, bj = b[run_rows, pairs[:, 0]], b[run_rows, pairs[:, 1]]
         if possibilistic:
-            fused = _fuse_rows(params.theta, b[i][None, :], b[j][None, :])[0]
+            fused = _fuse_rows(params.theta, bi, bj)
         else:
-            w = b[i] * b[j]
-            s = w.sum()
-            if s < DEGENERATE_MASS:
-                fused = np.full(n, 1.0 / n)
-                degenerate += 1
-            else:
-                fused = w / s
+            fused = bi * bj
+            s = fused.sum(axis=1)
+            bad = s < DEGENERATE_MASS
+            fused /= np.where(bad, 1.0, s)[:, None]
+            fused[bad] = 1.0 / n
+            degenerate += bad
         if params.fusion_adoption == ADOPT_BOTH:
-            b[i] = fused
-            b[j] = fused
+            b[run_rows, pairs[:, 0]] = fused
+            b[run_rows, pairs[:, 1]] = fused
         else:
-            b[i if int(rng.integers(2)) == 0 else j] = fused
+            b[run_rows, pairs[:, 2]] = fused
 
-    u_state = rng.random(k)
-    u_succ = rng.random(k)
-    eps = rng.standard_normal(k)
-
-    betting = _pignistic_rows(b) if possibilistic else b
-    states = _draw_states_rows(betting, u_state)
-    mask = u_succ < params.rho
-    if mask.any():
-        rows = np.nonzero(mask)[0]
+    # the R populations as R*k agent rows (a view, so writes land in b)
+    rows_b = b.reshape(r_count * k, n)
+    betting = _pignistic_rows(rows_b) if possibilistic else rows_b
+    states = _draw_states_rows(betting, u_state.reshape(-1))
+    rows = np.flatnonzero(u_succ < rho[:, None])
+    if rows.size:
         si = states[rows]
-        qhat = np.clip(qualities[si] + sigma * eps[rows], 0.0, 1.0)
+        qhat = np.clip(qualities[si] + (sigma[:, None] * eps).reshape(-1)[rows],
+                       0.0, 1.0)
         if possibilistic:
             ev = np.repeat((1.0 - qhat)[:, None], n, axis=1)
             ev[np.arange(rows.size), si] = 1.0
-            b[rows] = _fuse_rows(params.theta, b[rows], ev)
+            rows_b[rows] = _fuse_rows(params.theta, rows_b[rows], ev)
         else:
             ev = np.repeat(((1.0 - qhat) / n)[:, None], n, axis=1)
             ev[np.arange(rows.size), si] = ((n - 1) * qhat + 1.0) / n
-            w = b[rows] * ev
+            w = rows_b[rows] * ev
             s = w.sum(axis=1)
             bad = s < DEGENERATE_MASS
             if bad.any():
-                degenerate += int(bad.sum())
+                degenerate += np.bincount(rows[bad] // k, minlength=r_count)
                 s = np.where(bad, 1.0, s)
             w /= s[:, None]
             w[bad] = 1.0 / n
-            b[rows] = w
+            rows_b[rows] = w
     return degenerate
 
 
-def _metrics_from_array(b: np.ndarray, step_index: int, model: str) -> MetricsRecord:
+def _metrics_from_array(b: np.ndarray, step_index: int,
+                        model: str) -> list[MetricsRecord]:
+    """One record per population of a (R, k, n) array."""
     if model == POSSIBILISTIC:
-        return MetricsRecord(
-            step=step_index,
-            mean_poss_best=float(b[:, -1].mean()),
-            mean_nec_best=float((1.0 - b[:, :-1].max(axis=1)).mean()),
-        )
-    return MetricsRecord(step=step_index, mean_prob_best=float(b[:, -1].mean()))
+        poss = b[:, :, -1].mean(axis=1).tolist()
+        nec = (1.0 - b[:, :, :-1].max(axis=2)).mean(axis=1).tolist()
+        return [MetricsRecord(step=step_index, mean_poss_best=p, mean_nec_best=q)
+                for p, q in zip(poss, nec)]
+    return [MetricsRecord(step=step_index, mean_prob_best=p)
+            for p in b[:, :, -1].mean(axis=1).tolist()]
+
+
+def _lockstep(runs: Sequence[SimParams], env: EnvironmentSpec,
+              sigma: np.ndarray, final_only: bool) -> list[RunResult]:
+    shape = runs[0]
+    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(p.seed)))
+            for p in runs]
+    rho = np.array([p.rho for p in runs])
+    qualities = np.asarray(env.qualities)
+    b = _initial_beliefs(shape, len(runs))
+    captured = []  # per captured step, one record per run
+    if not final_only:
+        captured.append(_metrics_from_array(b, 0, shape.model))
+    degenerate = np.zeros(len(runs), dtype=np.int64)
+    for t in range(1, shape.steps + 1):
+        degenerate += _sim_step(b, shape, qualities, rho, sigma, rngs)
+        if not final_only:
+            captured.append(_metrics_from_array(b, t, shape.model))
+    if final_only:
+        captured.append(_metrics_from_array(b, shape.steps, shape.model))
+    return [RunResult(params=p, records=tuple(step[r] for step in captured),
+                      degenerate_fusions=int(degenerate[r]))
+            for r, p in enumerate(runs)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +293,21 @@ def run(params: SimParams, env: EnvironmentSpec | None = None,
         noise = NoiseSpec(sigma=params.sigma)
     if env.n != params.states:
         raise ValueError("environment does not match params")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(params.seed)))
-    qualities = np.asarray(env.qualities)
-    b = _initial_beliefs(params)
-    records = [_metrics_from_array(b, 0, params.model)]
-    degenerate = 0
-    for t in range(1, params.steps + 1):
-        degenerate += _sim_step(b, params, qualities, noise.sigma, rng)
-        records.append(_metrics_from_array(b, t, params.model))
-    return RunResult(params=params, records=tuple(records),
-                     degenerate_fusions=degenerate)
+    return _lockstep([params], env, np.array([noise.sigma]), False)[0]
 
+
+def run_batch(runs: Sequence[SimParams],
+              final_only: bool = False) -> list[RunResult]:
+    """Execute same-shape runs in lockstep, in the default environment.
+
+    Result i equals run(runs[i]) exactly; with final_only, its records hold
+    the last step's record alone and no earlier one is built.
+    """
+    runs = tuple(runs)
+    if not runs:
+        raise ValueError("need at least one run")
+    key = lockstep_key(runs[0])
+    if any(lockstep_key(p) != key for p in runs[1:]):
+        raise ValueError("runs of one batch may differ only in rho, sigma and seed")
+    return _lockstep(runs, EnvironmentSpec.default(key.states),
+                     np.array([p.sigma for p in runs]), final_only)

@@ -11,6 +11,7 @@ one-hot at the sampled state with the uniform distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,14 +61,14 @@ class EnvironmentSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive Gaussian observation noise with standard deviation sigma."""
+    """Additive Gaussian observation noise with finite standard deviation sigma."""
 
     sigma: float
 
     def __post_init__(self) -> None:
         sigma = float(self.sigma)
-        if not sigma >= 0.0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 <= sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
         object.__setattr__(self, "sigma", sigma)
 
 

@@ -4,10 +4,15 @@ A sweep runs one simulation per (grid value, run index) pair. Per-run seeds
 are derived by folding (grid index, run index) into the base seed through
 SeedSequence spawn keys, so a sweep is reproducible from a single integer
 and runs stay independent of worker count and scheduling order.
+
+Consecutive runs of one lockstep shape (engine.lockstep_key) are stepped
+together by engine.run_batch, in as many contiguous batches as there are
+workers to share them; a run's records do not depend on its batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 from collections.abc import Iterable, Sequence
@@ -21,7 +26,9 @@ from .engine import (
     PROBABILISTIC,
     MetricsRecord,
     SimParams,
-    run,
+    lockstep_key,
+    run,  # unused here; perfbench's tracer patches harness.run
+    run_batch,
 )
 from .environment import EnvironmentSpec, NoiseSpec, reversal_probability
 from .possibility import FrankParameter, PossibilityDistribution, fuse
@@ -195,52 +202,68 @@ def derive_run_seed(base_seed: int, grid_index: int, run_index: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_job(args):
-    params, capture = args
-    result = run(params)
+    runs, capture = args
+    results = run_batch(runs, final_only=capture == CAPTURE_FINAL)
     if capture == CAPTURE_TRAJECTORY:
-        return tuple(result)
-    return result[-1]
+        return [tuple(result) for result in results]
+    return [result[-1] for result in results]
 
 
-def _map_jobs(jobs, workers: int):
+def _batches(runs, workers: int) -> list[tuple[SimParams, ...]]:
+    """Cut each group of consecutive same-shape runs into min(workers,
+    len(group)) contiguous batches of near-equal size, in run order."""
+    batches = []
+    for _, group in itertools.groupby(runs, key=lockstep_key):
+        group = tuple(group)
+        parts = min(workers, len(group))
+        size, extra = divmod(len(group), parts)
+        start = 0
+        for part in range(parts):
+            stop = start + size + (part < extra)
+            batches.append(group[start:stop])
+            start = stop
+    return batches
+
+
+def _map_jobs(runs, capture: str, workers: int):
     if workers < 1:
         raise ValueError("workers must be >= 1")
     # the pool starts all its processes up front, so ask for no more than
-    # there are jobs and CPUs to give them
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    # there are runs and CPUs to give them
+    workers = min(workers, len(runs), os.cpu_count() or 1)
+    jobs = [(batch, capture) for batch in _batches(runs, workers)]
     if workers <= 1:
-        return [_run_job(j) for j in jobs]
-    # chunked executor.map keeps results in submission order, so worker
-    # count can't change what the fold below sees
-    chunk = max(1, len(jobs) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_job, jobs, chunksize=chunk))
+        outs = [_run_job(job) for job in jobs]
+    else:
+        # executor.map keeps results in submission order, and a run's
+        # records do not depend on its batch, so worker count can't change
+        # what the fold below sees
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outs = list(pool.map(_run_job, jobs))
+    return [out for batch in outs for out in batch]
 
 
-def _jobs_for(spec: SweepSpec):
-    jobs = []
+def _runs_for(spec: SweepSpec) -> list[SimParams]:
+    runs = []
     for gi, v in enumerate(spec.grid):
         p0 = apply_param(spec.base, spec.param, v)
         for ri in range(spec.runs):
-            jobs.append((replace(p0, seed=derive_run_seed(spec.base.seed, gi, ri)),
-                         spec.capture))
-    return jobs
+            runs.append(replace(p0, seed=derive_run_seed(spec.base.seed, gi, ri)))
+    return runs
 
 
 def collect_finals(spec: SweepSpec, workers: int = 1) -> list[MetricsRecord]:
     """Final-step record of every run of a single-point spec, in run order."""
     if len(spec.grid) != 1:
         raise ValueError("collect_finals needs a single-point grid")
-    spec = replace(spec, capture=CAPTURE_FINAL)
-    return _map_jobs(_jobs_for(spec), workers)
+    return _map_jobs(_runs_for(spec), CAPTURE_FINAL, workers)
 
 
 def collect_trajectories(spec: SweepSpec, workers: int = 1) -> list[tuple[MetricsRecord, ...]]:
     """All step records of every run of a single-point spec, in run order."""
     if len(spec.grid) != 1:
         raise ValueError("collect_trajectories needs a single-point grid")
-    spec = replace(spec, capture=CAPTURE_TRAJECTORY)
-    return _map_jobs(_jobs_for(spec), workers)
+    return _map_jobs(_runs_for(spec), CAPTURE_TRAJECTORY, workers)
 
 
 def aggregate_trajectories(trajectories: Sequence[Sequence[MetricsRecord]],
@@ -270,7 +293,7 @@ def sweep(spec: SweepSpec, workers: int = 1) -> list[AggregateRecord]:
     Results are folded in grid order after all runs complete, so the output
     is a pure function of the SweepSpec regardless of worker count.
     """
-    outs = _map_jobs(_jobs_for(spec), workers)
+    outs = _map_jobs(_runs_for(spec), spec.capture, workers)
     if spec.capture == CAPTURE_TRAJECTORY:
         return aggregate_trajectories(outs, spec.base.model)
     names = metric_names(spec.base.model)

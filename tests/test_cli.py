@@ -17,13 +17,14 @@ RANGE_ERRORS = [
     (["run", "--seed", "1", "--states", "1"], "--states", "need at least 2 states"),
     (["run", "--seed", "1", "--evidence-rate", "1.5"], "--evidence-rate",
      "must lie in [0, 1]"),
-    (["run", "--seed", "1", "--noise", "-0.1"], "--noise", "must be >= 0"),
+    (["run", "--seed", "1", "--noise", "-0.1"], "--noise", "must be finite and >= 0"),
     (["run", "--seed", "1", "--steps", "-1"], "--steps", "must be >= 0"),
     (["run", "--seed", "-1"], "--seed", "must be a 64-bit unsigned integer"),
     (["run", "--seed", str(2 ** 64)], "--seed", "must be a 64-bit unsigned integer"),
     (["run", "--seed", "1", "--workers", "0"], "--workers", "must be >= 1"),
     (["run", "--seed", "1", "--runs", "0"], "--runs", "must be >= 1"),
-    (["run", "--seed", "1", "--noise", "nan"], "--noise", "must be >= 0"),
+    (["run", "--seed", "1", "--noise", "nan"], "--noise", "must be finite and >= 0"),
+    (["run", "--seed", "1", "--noise", "inf"], "--noise", "must be finite and >= 0"),
 ]
 
 
@@ -110,7 +111,7 @@ class TestParseArgs:
         assert parse_error(["sweep", "agents", "1,2", "--seed", "1"]) == 2
         assert capsys.readouterr().err == "error: grid: need at least 2 agents\n"
         assert parse_error(["sweep", "noise", "nan", "--seed", "1"]) == 2
-        assert capsys.readouterr().err == "error: grid: sigma must be >= 0\n"
+        assert capsys.readouterr().err == "error: grid: sigma must be finite and >= 0\n"
 
     def test_sweep_runs_default(self):
         assert parse_args(["sweep", "noise", "0.1", "--seed", "1"]).runs == 100
@@ -164,10 +165,11 @@ class TestConfigFile:
         ("fusion = maybe\n",
          "error: --fusion: invalid value 'maybe' (from config file)"),
         ("agents = 1\n", "error: --agents: need at least 2 agents"),
-        ("noise = nan\n", "error: --noise: must be >= 0"),
+        ("noise = nan\n", "error: --noise: must be finite and >= 0"),
+        ("noise = inf\n", "error: --noise: must be finite and >= 0"),
         ("theta = 0\n", f"error: --theta: {THETA_ZERO}"),
         ("workers = 0\n", "error: --workers: must be >= 1"),
-    ], ids=("model", "fusion", "agents", "noise", "theta", "workers"))
+    ], ids=("model", "fusion", "agents", "noise", "noise-inf", "theta", "workers"))
     def test_config_value_errors_name_the_flag(self, tmp_path, capsys, text, line):
         cfg_path = self.write(tmp_path, text)
         assert parse_error(["run", "--seed", "1", "--config", cfg_path]) == 2

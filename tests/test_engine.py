@@ -1,5 +1,5 @@
 """Simulation engine: parameter validation, the fixed per-step draw
-schedule, determinism, and population metrics.
+schedule, determinism, lockstep batching, and population metrics.
 
 The schedule contract tests replicate the engine's documented draw order
 with an identically seeded generator and check the resulting beliefs
@@ -8,8 +8,11 @@ exactly; any silent reordering of stream consumption breaks them.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from possibly import (
+    ADOPT_BOTH,
     ADOPT_RANDOM_ONE,
     POSSIBILISTIC,
     PROBABILISTIC,
@@ -25,7 +28,13 @@ from possibly import (
     product_fuse,
     run,
 )
-from possibly.engine import _initial_beliefs, _metrics_from_array, _sim_step
+from possibly.engine import (
+    _initial_beliefs,
+    _metrics_from_array,
+    _sim_step,
+    lockstep_key,
+    run_batch,
+)
 
 THETA20 = FrankParameter(theta=20.0)
 QUALITIES3 = np.asarray(EnvironmentSpec.default(3).qualities)
@@ -50,6 +59,13 @@ def draw_pair(rng, k):
     return i, j
 
 
+def step_one(b, p, rng):
+    """One lockstep step of a batch of one population (a (k, n) array,
+    updated in place); returns its degenerate fusion count."""
+    return int(_sim_step(b[None], p, QUALITIES3, np.array([p.rho]),
+                         np.array([p.sigma]), [rng])[0])
+
+
 def draw_state(p_row, u):
     c = np.cumsum(p_row)
     return min(int((u > c).sum()), len(p_row) - 1) + 1
@@ -60,7 +76,7 @@ class TestSimParams:
         dict(agents=1), dict(states=1), dict(rho=-0.1), dict(rho=1.1),
         dict(sigma=-1.0), dict(steps=-1), dict(model="bayesian"),
         dict(fusion_adoption="all"), dict(theta=20.0), dict(seed=-1),
-        dict(seed=2 ** 64),
+        dict(seed=2 ** 64), dict(sigma=float("inf")),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -78,9 +94,9 @@ class TestInitAndMetrics:
         assert (_initial_beliefs(params()) == 1.0).all()
 
     def test_probabilistic_starts_uniform(self):
-        b = _initial_beliefs(params(model=PROBABILISTIC))
-        assert b.shape == (4, 3)
-        assert b == pytest.approx(np.full((4, 3), 1 / 3), abs=1e-15)
+        b = _initial_beliefs(params(model=PROBABILISTIC), runs=2)
+        assert b.shape == (2, 4, 3)
+        assert b == pytest.approx(np.full((2, 4, 3), 1 / 3), abs=1e-15)
 
     def test_initial_metrics(self):
         m = run(params(steps=0))[0]
@@ -91,11 +107,13 @@ class TestInitAndMetrics:
     def test_metrics_average_over_agents(self):
         b = np.array([[0.2, 0.4, 1.0],
                       [1.0, 0.6, 0.8]])
-        m = _metrics_from_array(b, 3, POSSIBILISTIC)
+        # a batch of two populations: b and b with its agents' rows reversed
+        m, m_rev = _metrics_from_array(np.stack([b, b[::-1]]), 3, POSSIBILISTIC)
         assert m.step == 3
         assert m.mean_poss_best == pytest.approx((1.0 + 0.8) / 2)
         # N(s3) = 1 - max(pi(s1), pi(s2)) per agent
         assert m.mean_nec_best == pytest.approx(((1 - 0.4) + (1 - 1.0)) / 2)
+        assert m_rev == m
 
 
 class TestRunBasics:
@@ -159,7 +177,7 @@ class TestDrawSchedule:
         p = params(agents=3, rho=1.0, sigma=0.0, steps=1, seed=0)
         got = np.array(self.START)
         step_rng = fresh_rng(11)
-        _sim_step(got, p, QUALITIES3, 0.0, step_rng)
+        step_one(got, p, step_rng)
 
         rng = fresh_rng(11)
         b = [np.array(x) for x in self.START]
@@ -189,7 +207,7 @@ class TestDrawSchedule:
                  (0.1, 0.1, 0.8))
         got = np.array(start)
         step_rng = fresh_rng(21)
-        _sim_step(got, p, QUALITIES3, 0.0, step_rng)
+        step_one(got, p, step_rng)
 
         rng = fresh_rng(21)
         b = [np.array(x) for x in start]
@@ -214,7 +232,7 @@ class TestDrawSchedule:
                    fusion_adoption=ADOPT_RANDOM_ONE)
         start = np.array(self.START)
         got = start.copy()
-        _sim_step(got, p, QUALITIES3, 0.0, fresh_rng(7))
+        step_one(got, p, fresh_rng(7))
 
         rng = fresh_rng(7)
         b = [np.array(x) for x in self.START]
@@ -227,6 +245,44 @@ class TestDrawSchedule:
         assert changed == [target]
         assert got[target] == pytest.approx(b[target], abs=1e-15)
 
+    def test_state_uniforms_come_before_success_uniforms(self):
+        """With 0 < rho < 1 some agents get evidence and some do not, so
+        swapping the two uniform draws changes who observes what."""
+        start = ((1.0, 0.3, 0.2),
+                 (0.1, 1.0, 0.4),
+                 (0.5, 0.2, 1.0),
+                 (1.0, 1.0, 0.6),
+                 (0.7, 1.0, 1.0),
+                 (1.0, 0.9, 0.8))
+        p = params(agents=6, rho=0.5, sigma=0.2, steps=1, seed=0)
+        got = np.array(start)
+        step_rng = fresh_rng(3)
+        step_one(got, p, step_rng)
+
+        rng = fresh_rng(3)
+        b = [np.array(x) for x in start]
+        i, j = draw_pair(rng, 6)
+        fused = fuse(p.theta, PossibilityDistribution(b[i].tolist()),
+                     PossibilityDistribution(b[j].tolist()))
+        b[i] = b[j] = np.array(fused.values)
+        u_state = rng.random(6)
+        u_succ = rng.random(6)
+        eps = rng.standard_normal(6)
+        hits = 0
+        for r in range(6):
+            s = draw_state(np.array(pignistic(
+                PossibilityDistribution(b[r].tolist())).values), u_state[r])
+            if u_succ[r] < p.rho:
+                hits += 1
+                q = float(np.clip(QUALITIES3[s - 1] + p.sigma * eps[r], 0.0, 1.0))
+                ev = possibilistic_evidence(3, s, q)
+                b[r] = np.array(fuse(p.theta,
+                                     PossibilityDistribution(b[r].tolist()), ev).values)
+        assert 0 < hits < 6
+        for r in range(6):
+            assert got[r] == pytest.approx(b[r], abs=1e-15)
+        assert step_rng.random() == rng.random()
+
     def test_noise_draws_consumed_even_without_evidence(self):
         """rho=0 still burns the per-agent state/success/noise draws, so the
         pair chosen at the next step is independent of rho."""
@@ -234,19 +290,71 @@ class TestDrawSchedule:
         p_busy = params(agents=6, rho=1.0, steps=2, seed=0)
         rng_a = fresh_rng(13)
         rng_b = fresh_rng(13)
-        _sim_step(_initial_beliefs(p_quiet), p_quiet, QUALITIES3, 0.0, rng_a)
-        _sim_step(_initial_beliefs(p_busy), p_busy, QUALITIES3, 0.0, rng_b)
+        step_one(_initial_beliefs(p_quiet)[0], p_quiet, rng_a)
+        step_one(_initial_beliefs(p_busy)[0], p_busy, rng_b)
         # both streams must now sit at the same position
         assert rng_a.random() == rng_b.random()
+
+
+FRANK_PARAMS = st.one_of(
+    st.builds(lambda mag, sign: FrankParameter(theta=sign * mag),
+              st.floats(1e-4, 700.0), st.sampled_from((1.0, -1.0))),
+    st.sampled_from([FrankParameter(limit=v)
+                     for v in ("product", "min", "lukasiewicz")]),
+)
+
+
+class TestLockstep:
+    """A run's records do not depend on the batch it is stepped in."""
+
+    @given(k=st.integers(2, 8), n=st.integers(2, 6),
+           model=st.sampled_from((POSSIBILISTIC, PROBABILISTIC)),
+           fusion=st.booleans(),
+           adoption=st.sampled_from((ADOPT_BOTH, ADOPT_RANDOM_ONE)),
+           theta=FRANK_PARAMS,
+           mix=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 3.0)),
+                        min_size=2, max_size=4),
+           steps=st.integers(1, 8), seed=st.integers(0, 2 ** 32))
+    def test_batch_equals_one_run_at_a_time(self, k, n, model, fusion, adoption,
+                                            theta, mix, steps, seed):
+        runs = [SimParams(agents=k, states=n, rho=rho, sigma=sigma, theta=theta,
+                          steps=steps, model=model, seed=seed + r,
+                          fusion_enabled=fusion, fusion_adoption=adoption)
+                for r, (rho, sigma) in enumerate(mix)]
+        batch = run_batch(runs)
+        finals = run_batch(runs, final_only=True)
+        for p, got, final in zip(runs, batch, finals):
+            alone = run(p)
+            assert got.records == alone.records
+            assert got.degenerate_fusions == alone.degenerate_fusions
+            assert final.records == alone.records[-1:]
+            assert final.degenerate_fusions == alone.degenerate_fusions
+
+    def test_batch_counts_degenerate_fusions_per_run(self):
+        runs = [SimParams(agents=6, states=3, rho=rho, sigma=2.0, theta=THETA20,
+                          steps=300, model=PROBABILISTIC, seed=5)
+                for rho in (1.0, 0.0)]
+        busy, quiet = run_batch(runs)
+        assert busy.degenerate_fusions == run(runs[0]).degenerate_fusions > 0
+        assert quiet.degenerate_fusions == 0
+
+    def test_rejects_mixed_shapes_and_empty_batches(self):
+        assert lockstep_key(params(rho=0.3, sigma=1.0, seed=9)) == lockstep_key(params())
+        with pytest.raises(ValueError):
+            run_batch([params(), params(agents=5)])
+        with pytest.raises(ValueError):
+            run_batch([params(), params(theta=FrankParameter(theta=2.0))])
+        with pytest.raises(ValueError):
+            run_batch([])
 
 
 class TestModelBehaviour:
     def test_possibilistic_beliefs_stay_normalised(self):
         p = params(agents=8, rho=0.7, sigma=0.4, steps=40, seed=3)
         rng = fresh_rng(p.seed)
-        b = _initial_beliefs(p)
+        b = _initial_beliefs(p)[0]
         for _ in range(p.steps):
-            _sim_step(b, p, QUALITIES3, p.sigma, rng)
+            step_one(b, p, rng)
             assert (b.max(axis=1) == 1.0).all()
             assert ((0.0 <= b) & (b <= 1.0)).all()
 
@@ -254,9 +362,9 @@ class TestModelBehaviour:
         p = params(agents=8, rho=0.7, sigma=0.4, steps=40, seed=3,
                    model=PROBABILISTIC)
         rng = fresh_rng(p.seed)
-        b = _initial_beliefs(p)
+        b = _initial_beliefs(p)[0]
         for _ in range(p.steps):
-            _sim_step(b, p, QUALITIES3, p.sigma, rng)
+            step_one(b, p, rng)
             assert b.sum(axis=1) == pytest.approx(np.ones(8), abs=1e-9)
 
     def test_noiseless_evidence_is_informative(self):

@@ -37,8 +37,9 @@ class TestEnvironmentSpec:
             EnvironmentSpec.default(1)
 
     def test_noise_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(sigma=-0.1)
+        for sigma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                NoiseSpec(sigma=sigma)
 
 
 class TestSampleQuality:

@@ -26,6 +26,7 @@ from possibly import (
     sweep,
     trajectory_rows,
 )
+from possibly import engine
 from possibly import harness
 from possibly.harness import PRESET_NAMES, PresetPart
 
@@ -365,6 +366,47 @@ class TestParallelDeterminism:
         emit_csv(sweep(spec, workers=1), p1)
         emit_csv(sweep(spec, workers=3), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_group_split_across_two_workers_keeps_csv_bytes(self, tmp_path,
+                                                            monkeypatch):
+        # the six runs share one lockstep shape; two workers cut them 3 + 3
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        spec = SweepSpec(base=tiny_params(steps=4), param="evidence-rate",
+                         grid=(0.2, 0.8), runs=3)
+        batches = harness._batches(harness._runs_for(spec), 2)
+        assert [len(batch) for batch in batches] == [3, 3]
+        p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        emit_csv(sweep(spec, workers=1), p1)
+        emit_csv(sweep(spec, workers=2), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestBatching:
+    def test_groups_split_into_contiguous_near_equal_batches(self):
+        spec = SweepSpec(base=tiny_params(), param="theta", grid=(1.0, 10.0),
+                         runs=5)
+        runs = harness._runs_for(spec)
+        batches = harness._batches(runs, 2)
+        # theta is part of the lockstep shape: one group per grid point
+        assert [len(batch) for batch in batches] == [3, 2, 3, 2]
+        assert [p for batch in batches for p in batch] == runs
+        assert [len(batch) for batch in harness._batches(runs, 1)] == [5, 5]
+
+    def test_final_capture_builds_metrics_once(self, monkeypatch):
+        calls = []
+        metrics = engine._metrics_from_array
+
+        def counted(b, step, model):
+            calls.append(step)
+            return metrics(b, step, model)
+
+        monkeypatch.setattr(engine, "_metrics_from_array", counted)
+        made = {}
+        for steps in (10, 100):
+            calls.clear()
+            collect_finals(SweepSpec(base=tiny_params(steps=steps), runs=3))
+            made[steps] = list(calls)
+        assert made == {10: [10], 100: [100]}
 
 
 
