@@ -23,12 +23,12 @@ outcomes:
 
 so that changing rho or sigma alone never reorders the remaining stream.
 
-Runs that share their shape (every SimParams field except rho, sigma and
-seed, see lockstep_key) advance in lockstep: R of them are one (R, k, n)
-array, stepped together, while each draws from its own stream on the
-schedule above. Every row kernel does elementwise or rowwise arithmetic
-only, so a run's records are bit-identical whichever batch it is in; run()
-is the batch of one.
+Runs that share their shape (every SimParams field except rho, sigma,
+seed and the value of theta within its Frank branch, see lockstep_key)
+advance in lockstep: R of them are one (R, k, n) array, stepped together,
+while each draws from its own stream on the schedule above. Every row
+kernel does elementwise or rowwise arithmetic only, so a run's records are
+bit-identical whichever batch it is in; run() is the batch of one.
 """
 
 from __future__ import annotations
@@ -40,7 +40,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .environment import EnvironmentSpec, NoiseSpec
-from .possibility import FrankParameter, _fuse_rows, _pignistic_rows
+from .possibility import (
+    FrankParameter,
+    _frank_branch,
+    _FrankRows,
+    _fuse_rows,
+    _pignistic_rows,
+)
 from .probability import DEGENERATE_MASS
 
 __all__ = [
@@ -143,10 +149,17 @@ class RunResult(Sequence):
 # population array helpers
 # ---------------------------------------------------------------------------
 
-def lockstep_key(params: SimParams) -> SimParams:
+# stands in for every theta in a lockstep key, whose branch names the kernel
+_BLANK_THETA = FrankParameter(limit="product")
+
+
+def lockstep_key(params: SimParams) -> tuple[SimParams, str]:
     """What runs must share to advance in one batch: every field but the
-    per-run rho, sigma and seed, which are blanked."""
-    return replace(params, rho=0.0, sigma=0.0, seed=0)
+    per-run rho, sigma, seed and theta, which are blanked, and theta's Frank
+    branch (min, lukasiewicz, product, positive or negative), which selects
+    the t-norm expression."""
+    return (replace(params, rho=0.0, sigma=0.0, seed=0, theta=_BLANK_THETA),
+            _frank_branch(params.theta))
 
 
 def _initial_beliefs(params: SimParams, runs: int = 1) -> np.ndarray:
@@ -175,11 +188,12 @@ def _draw_states_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
-              rho: np.ndarray, sigma: np.ndarray,
+              rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
               rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Advance R same-shape populations, a (R, k, n) array, one step in
-    place. params gives the shared shape; rho, sigma and rngs hold one entry
-    per run. Returns each run's number of degenerate product fusions."""
+    place. params gives the shared shape; rho, sigma, theta (an (R, 1)
+    column, or a scalar when all runs share it) and rngs hold one entry per
+    run. Returns each run's number of degenerate product fusions."""
     r_count, k, n = b.shape
     possibilistic = params.model == POSSIBILISTIC
     degenerate = np.zeros(r_count, dtype=np.int64)
@@ -202,7 +216,7 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     if params.fusion_enabled:
         bi, bj = b[run_rows, pairs[:, 0]], b[run_rows, pairs[:, 1]]
         if possibilistic:
-            fused = _fuse_rows(params.theta, bi, bj)
+            fused = _fuse_rows(theta, bi, bj)
         else:
             fused = bi * bj
             s = fused.sum(axis=1)
@@ -228,7 +242,7 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
         if possibilistic:
             ev = np.repeat((1.0 - qhat)[:, None], n, axis=1)
             ev[np.arange(rows.size), si] = 1.0
-            rows_b[rows] = _fuse_rows(params.theta, rows_b[rows], ev)
+            rows_b[rows] = _fuse_rows(theta.take(rows // k), rows_b[rows], ev)
         else:
             ev = np.repeat(((1.0 - qhat) / n)[:, None], n, axis=1)
             ev[np.arange(rows.size), si] = ((n - 1) * qhat + 1.0) / n
@@ -262,6 +276,7 @@ def _lockstep(runs: Sequence[SimParams], env: EnvironmentSpec,
     rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(p.seed)))
             for p in runs]
     rho = np.array([p.rho for p in runs])
+    theta = _FrankRows.of([p.theta for p in runs])
     qualities = np.asarray(env.qualities)
     b = _initial_beliefs(shape, len(runs))
     captured = []  # per captured step, one record per run
@@ -269,7 +284,7 @@ def _lockstep(runs: Sequence[SimParams], env: EnvironmentSpec,
         captured.append(_metrics_from_array(b, 0, shape.model))
     degenerate = np.zeros(len(runs), dtype=np.int64)
     for t in range(1, shape.steps + 1):
-        degenerate += _sim_step(b, shape, qualities, rho, sigma, rngs)
+        degenerate += _sim_step(b, shape, qualities, rho, sigma, theta, rngs)
         if not final_only:
             captured.append(_metrics_from_array(b, t, shape.model))
     if final_only:
@@ -308,6 +323,7 @@ def run_batch(runs: Sequence[SimParams],
         raise ValueError("need at least one run")
     key = lockstep_key(runs[0])
     if any(lockstep_key(p) != key for p in runs[1:]):
-        raise ValueError("runs of one batch may differ only in rho, sigma and seed")
-    return _lockstep(runs, EnvironmentSpec.default(key.states),
+        raise ValueError("runs of one batch may differ only in rho, sigma, "
+                         "seed and theta within its Frank branch")
+    return _lockstep(runs, EnvironmentSpec.default(runs[0].states),
                      np.array([p.sigma for p in runs]), final_only)

@@ -5,9 +5,11 @@ are derived by folding (grid index, run index) into the base seed through
 SeedSequence spawn keys, so a sweep is reproducible from a single integer
 and runs stay independent of worker count and scheduling order.
 
-Consecutive runs of one lockstep shape (engine.lockstep_key) are stepped
-together by engine.run_batch, in as many contiguous batches as there are
-workers to share them; a run's records do not depend on its batch.
+Consecutive runs of one lockstep shape (engine.lockstep_key; a theta sweep
+is one shape per Frank branch) are stepped together by engine.run_batch, in
+as many contiguous batches as there are workers to share them; a run's
+records do not depend on its batch. The reversal curve spreads its points
+over the same kind of pool, each point on its own seeded stream.
 """
 
 from __future__ import annotations
@@ -225,21 +227,30 @@ def _batches(runs, workers: int) -> list[tuple[SimParams, ...]]:
     return batches
 
 
-def _map_jobs(runs, capture: str, workers: int):
+def _pool_size(workers: int, jobs: int) -> int:
+    # the pool starts all its processes up front, so ask for no more than
+    # there are jobs and CPUs to give them
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    # the pool starts all its processes up front, so ask for no more than
-    # there are runs and CPUs to give them
-    workers = min(workers, len(runs), os.cpu_count() or 1)
-    jobs = [(batch, capture) for batch in _batches(runs, workers)]
+    return min(workers, jobs, os.cpu_count() or 1)
+
+
+def _pool_map(fn, jobs: list, workers: int) -> list:
+    """fn of every job, in job order: on a pool of _pool_size processes, or
+    in this process when that is one."""
+    workers = _pool_size(workers, len(jobs))
     if workers <= 1:
-        outs = [_run_job(job) for job in jobs]
-    else:
-        # executor.map keeps results in submission order, and a run's
-        # records do not depend on its batch, so worker count can't change
-        # what the fold below sees
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(_run_job, jobs))
+        return [fn(job) for job in jobs]
+    # executor.map keeps results in submission order, so worker count can't
+    # change what the caller sees
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
+
+
+def _map_jobs(runs, capture: str, workers: int):
+    # a run's records do not depend on its batch
+    batches = _batches(runs, _pool_size(workers, len(runs)))
+    outs = _pool_map(_run_job, [(batch, capture) for batch in batches], workers)
     return [out for batch in outs for out in batch]
 
 
@@ -485,17 +496,19 @@ def _frank_curve_records(grid) -> list[AggregateRecord]:
     return records
 
 
-def _reversal_curve_records(grid, seed: int) -> list[AggregateRecord]:
-    env = EnvironmentSpec.default(5)
-    records = []
-    for gi, sigma in enumerate(grid):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(derive_run_seed(seed, gi, 0))))
-        p = reversal_probability(env, NoiseSpec(sigma=sigma), i=5, j=4,
-                                 samples=10 ** 6, rng=rng)
-        records.append(AggregateRecord(x=float(sigma), metric="reversal_probability",
-                                       mean=p, p10=p, p90=p))
-    return records
+def _reversal_point(job) -> float:
+    seed, gi, sigma = job
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(derive_run_seed(seed, gi, 0))))
+    return reversal_probability(EnvironmentSpec.default(5), NoiseSpec(sigma=sigma),
+                                i=5, j=4, samples=10 ** 6, rng=rng)
+
+
+def _reversal_curve_records(grid, seed: int, workers: int) -> list[AggregateRecord]:
+    jobs = [(seed, gi, sigma) for gi, sigma in enumerate(grid)]
+    return [AggregateRecord(x=float(sigma), metric="reversal_probability",
+                            mean=p, p10=p, p90=p)
+            for sigma, p in zip(grid, _pool_map(_reversal_point, jobs, workers))]
 
 
 def run_part(part: PresetPart, out_dir, workers: int = 1,
@@ -516,7 +529,7 @@ def run_part(part: PresetPart, out_dir, workers: int = 1,
     elif part.kind == "frank_curve":
         emit_csv(_frank_curve_records(part.curve_grid), path)
     elif part.kind == "reversal_curve":
-        emit_csv(_reversal_curve_records(part.curve_grid, seed), path)
+        emit_csv(_reversal_curve_records(part.curve_grid, seed, workers), path)
     else:
         raise ValueError(f"unknown preset part kind: {part.kind!r}")
     return path

@@ -166,36 +166,86 @@ def _log_expm1(z: np.ndarray) -> np.ndarray:
         return np.where(z > 1.0, z + np.log1p(-np.exp(-z)), small)
 
 
-def _frank_values(param: FrankParameter, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _frank_branch(param: FrankParameter) -> str:
+    """Which expression _frank_values evaluates for param: "min",
+    "lukasiewicz", "product" (the limit and every |theta| below the cutoff),
+    "positive" or "negative"."""
+    if param.limit is not None:
+        return param.limit
+    if abs(param.theta) < THETA_PRODUCT_CUTOFF:
+        return "product"
+    return "positive" if param.theta > 0 else "negative"
+
+
+@dataclass(frozen=True)
+class _FrankRows:
+    """One Frank branch with its theta as a scalar or an (m, 1) column of
+    one theta per row, plus the closed form's per-theta constant
+    (log(1 - e^{-theta}) or log(e^{-theta} - 1)) in the same shape. The
+    three limit branches carry no theta."""
+
+    branch: str
+    theta: np.ndarray | None = None
+    const: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, params: FrankParameter | Sequence[FrankParameter]) -> "_FrankRows":
+        """A column for a sequence of FrankParameters, one row each, which
+        must all share the first's branch; a scalar for one FrankParameter
+        or a sequence of equal ones, which broadcasts at less cost."""
+        if isinstance(params, FrankParameter):
+            params = (params,)
+        branch = _frank_branch(params[0])
+        if branch not in ("positive", "negative"):
+            return cls(branch)
+        if all(p.theta == params[0].theta for p in params):
+            theta = np.asarray(params[0].theta, dtype=float)
+        else:
+            theta = np.array([[p.theta] for p in params])
+        const = _log1mexp(theta) if branch == "positive" else _log_expm1(-theta)
+        return cls(branch, theta, const)
+
+    def take(self, rows: np.ndarray) -> "_FrankRows":
+        """The theta and constant of the given rows; a scalar applies to
+        every row and a limit branch carries none, so both come back as
+        they are."""
+        if self.theta is None or self.theta.ndim == 0:
+            return self
+        return _FrankRows(self.branch, self.theta[rows], self.const[rows])
+
+
+def _frank_values(param: FrankParameter | _FrankRows, x: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
     """Elementwise Frank t-norm on arrays of degrees in [0, 1].
 
     T_theta(x, y) = -(1/theta) ln(1 + (e^{-theta x} - 1)(e^{-theta y} - 1)
     / (e^{-theta} - 1)), evaluated through expm1/log1p so that no
     intermediate overflows or cancels for 1e-4 <= |theta| <= 700. The result
     is clamped into the exact t-norm envelope [max(0, x+y-1), min(x, y)] and
-    T(x, 1) = x holds exactly.
+    T(x, 1) = x holds exactly. A _FrankRows param with an (m, 1) theta
+    column gives row i of (m, n) blocks its own theta.
     """
+    frank = param if isinstance(param, _FrankRows) else _FrankRows.of(param)
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
-    if param.limit == "min":
+    if frank.branch == "min":
         return lo
-    if param.limit == "lukasiewicz":
+    if frank.branch == "lukasiewicz":
         return np.maximum(0.0, lo + hi - 1.0)
-    if param.limit == "product" or abs(param.theta) < THETA_PRODUCT_CUTOFF:
+    if frank.branch == "product":
         return lo * hi
-    theta = param.theta
-    if theta > 0:
+    theta = frank.theta
+    if frank.branch == "positive":
         # 1 + (e^{-tx}-1)(e^{-ty}-1)/(e^{-t}-1) rewritten as a sum of two
         # nonnegative products, so the log sees full relative precision
         s = np.exp(-theta * lo) * (-np.expm1(-theta * (1.0 - lo))) \
             + np.exp(-theta * hi) * (-np.expm1(-theta * lo))
         with np.errstate(divide="ignore"):
-            t = (_log1mexp(np.asarray(theta, dtype=float)) - np.log(s)) / theta
+            t = (frank.const - np.log(s)) / theta
     else:
         # negative theta in log space: e^{phi} terms overflow past phi ~ 709
         phi = -theta
-        logr = _log_expm1(phi * lo) + _log_expm1(phi * hi) \
-            - _log_expm1(np.asarray(phi, dtype=float))
+        logr = _log_expm1(phi * lo) + _log_expm1(phi * hi) - frank.const
         t = np.logaddexp(0.0, logr) / phi
     t = np.clip(t, np.maximum(0.0, lo + hi - 1.0), lo)
     return np.where(hi == 1.0, lo, t)

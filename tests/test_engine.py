@@ -35,6 +35,7 @@ from possibly.engine import (
     lockstep_key,
     run_batch,
 )
+from possibly.possibility import _FrankRows
 
 THETA20 = FrankParameter(theta=20.0)
 QUALITIES3 = np.asarray(EnvironmentSpec.default(3).qualities)
@@ -63,7 +64,8 @@ def step_one(b, p, rng):
     """One lockstep step of a batch of one population (a (k, n) array,
     updated in place); returns its degenerate fusion count."""
     return int(_sim_step(b[None], p, QUALITIES3, np.array([p.rho]),
-                         np.array([p.sigma]), [rng])[0])
+                         np.array([p.sigma]), _FrankRows.of([p.theta]),
+                         [rng])[0])
 
 
 def draw_state(p_row, u):
@@ -296,12 +298,16 @@ class TestDrawSchedule:
         assert rng_a.random() == rng_b.random()
 
 
-FRANK_PARAMS = st.one_of(
-    st.builds(lambda mag, sign: FrankParameter(theta=sign * mag),
-              st.floats(1e-4, 700.0), st.sampled_from((1.0, -1.0))),
-    st.sampled_from([FrankParameter(limit=v)
-                     for v in ("product", "min", "lukasiewicz")]),
-)
+@st.composite
+def branch_thetas(draw, count):
+    """count FrankParameters of one Frank branch: a sign drawn once and a
+    magnitude in [1e-4, 700] per run, or one limit for all."""
+    limit = draw(st.sampled_from((None, "product", "min", "lukasiewicz")))
+    if limit is not None:
+        return [FrankParameter(limit=limit)] * count
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    mags = draw(st.lists(st.floats(1e-4, 700.0), min_size=count, max_size=count))
+    return [FrankParameter(theta=sign * mag) for mag in mags]
 
 
 class TestLockstep:
@@ -311,16 +317,17 @@ class TestLockstep:
            model=st.sampled_from((POSSIBILISTIC, PROBABILISTIC)),
            fusion=st.booleans(),
            adoption=st.sampled_from((ADOPT_BOTH, ADOPT_RANDOM_ONE)),
-           theta=FRANK_PARAMS,
            mix=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 3.0)),
                         min_size=2, max_size=4),
-           steps=st.integers(1, 8), seed=st.integers(0, 2 ** 32))
+           steps=st.integers(1, 8), seed=st.integers(0, 2 ** 32),
+           data=st.data())
     def test_batch_equals_one_run_at_a_time(self, k, n, model, fusion, adoption,
-                                            theta, mix, steps, seed):
+                                            mix, steps, seed, data):
+        thetas = data.draw(branch_thetas(len(mix)))
         runs = [SimParams(agents=k, states=n, rho=rho, sigma=sigma, theta=theta,
                           steps=steps, model=model, seed=seed + r,
                           fusion_enabled=fusion, fusion_adoption=adoption)
-                for r, (rho, sigma) in enumerate(mix)]
+                for r, ((rho, sigma), theta) in enumerate(zip(mix, thetas))]
         batch = run_batch(runs)
         finals = run_batch(runs, final_only=True)
         for p, got, final in zip(runs, batch, finals):
@@ -340,12 +347,28 @@ class TestLockstep:
 
     def test_rejects_mixed_shapes_and_empty_batches(self):
         assert lockstep_key(params(rho=0.3, sigma=1.0, seed=9)) == lockstep_key(params())
+        # theta is a per-run column within its Frank branch
+        run_batch([params(), params(theta=FrankParameter(theta=2.0))])
+        for other in (dict(agents=5),
+                      dict(theta=FrankParameter(theta=-2.0)),
+                      dict(theta=FrankParameter.min_limit())):
+            with pytest.raises(ValueError):
+                run_batch([params(), params(**other)])
         with pytest.raises(ValueError):
-            run_batch([params(), params(agents=5)])
-        with pytest.raises(ValueError):
-            run_batch([params(), params(theta=FrankParameter(theta=2.0))])
+            run_batch([params(theta=FrankParameter(theta=1e-4)),
+                       params(theta=FrankParameter(theta=5e-5))])
         with pytest.raises(ValueError):
             run_batch([])
+
+    def test_theta_below_cutoff_shares_the_product_group(self):
+        # every |theta| < 1e-4 computes x * y, as the product limit does
+        product = params(theta=FrankParameter.product_limit())
+        tiny = params(theta=FrankParameter(theta=5e-5), seed=2)
+        assert lockstep_key(product) == lockstep_key(tiny)
+        assert lockstep_key(tiny) != lockstep_key(
+            params(theta=FrankParameter(theta=1e-4)))
+        assert [r.records for r in run_batch([product, tiny])] == \
+            [run(product).records, run(tiny).records]
 
 
 class TestModelBehaviour:

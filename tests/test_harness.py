@@ -380,6 +380,15 @@ class TestParallelDeterminism:
         emit_csv(sweep(spec, workers=2), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_reversal_curve_bytes_do_not_depend_on_workers(self, tmp_path,
+                                                          monkeypatch):
+        # its 11 points run on a 2-process pool, each on its own stream
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        part = preset("fig3", seed=3).parts[0]
+        p1 = run_part(part, tmp_path / "w1", workers=1, seed=3)
+        p2 = run_part(part, tmp_path / "w2", workers=2, seed=3)
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+
 
 class TestBatching:
     def test_groups_split_into_contiguous_near_equal_batches(self):
@@ -387,10 +396,15 @@ class TestBatching:
                          runs=5)
         runs = harness._runs_for(spec)
         batches = harness._batches(runs, 2)
-        # theta is part of the lockstep shape: one group per grid point
-        assert [len(batch) for batch in batches] == [3, 2, 3, 2]
+        # theta is a per-run column: both grid points form one group
+        assert [len(batch) for batch in batches] == [5, 5]
         assert [p for batch in batches for p in batch] == runs
-        assert [len(batch) for batch in harness._batches(runs, 1)] == [5, 5]
+        assert [len(batch) for batch in harness._batches(runs, 1)] == [10]
+        # a grid that crosses Frank branches splits where the branch changes
+        spec = SweepSpec(base=tiny_params(), param="theta",
+                         grid=(-1.0, -10.0, 5e-5, 1.0), runs=2)
+        assert [len(batch) for batch in
+                harness._batches(harness._runs_for(spec), 1)] == [4, 2, 2]
 
     def test_final_capture_builds_metrics_once(self, monkeypatch):
         calls = []
@@ -449,3 +463,14 @@ class TestWorkerCap:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         collect_finals(SweepSpec(base=tiny_params(steps=1), runs=3), workers=4)
         assert sizes == []
+
+    @pytest.mark.parametrize("workers, cpus", [(1, 4), (3, 4), (100, 4),
+                                               (100, 64)])
+    def test_reversal_pool_never_exceeds_points_or_cpus(
+            self, sizes, monkeypatch, tmp_path, workers, cpus):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(harness, "reversal_probability",
+                            lambda *args, **kwargs: 0.5)
+        run_part(preset("fig3").parts[0], tmp_path, workers)
+        size = min(workers, 11, cpus)
+        assert sizes == ([size] if size > 1 else [])

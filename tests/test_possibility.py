@@ -8,6 +8,7 @@ form, independent of the library code.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from possibly import (
     possibility_measure,
     vacuous,
 )
+from possibly.possibility import THETA_PRODUCT_CUTOFF, _frank_values
 
 # T_10(0.8, 0.9) to full double precision (mpmath, 400 digits)
 T10_08_09 = 0.7790974275891844
@@ -244,6 +246,31 @@ class TestFrankTnorm:
         # inside the cutoff the closed form is abandoned for the exact limit
         assert frank_tnorm(FrankParameter(theta=1e-5), x, y) == x * y
         assert frank_tnorm(FrankParameter(theta=-1e-5), x, y) == x * y
+
+    @pytest.mark.parametrize("theta", [THETA_PRODUCT_CUTOFF, -THETA_PRODUCT_CUTOFF])
+    def test_cutoff_jump_is_the_first_order_term(self, theta):
+        """At |theta| = 1e-4 the kernel leaves x*y for the closed form. The
+        exact t-norm is x*y + theta*xy(1-x)(1-y)/2 + O(theta^2) there, so the
+        switch jumps by that term (3.125e-6 at x = y = 1/2), no more."""
+        x, y = np.meshgrid(np.linspace(0.0, 1.0, 401), np.linspace(0.0, 1.0, 401))
+        jump = np.abs(_frank_values(FrankParameter(theta=theta), x, y) - x * y)
+        first_order = abs(theta) * x * y * (1 - x) * (1 - y) / 2
+        assert (jump <= first_order + theta ** 2).all()
+        assert jump.max() == pytest.approx(abs(theta) / 32, rel=1e-3)
+
+    @pytest.mark.parametrize("theta", [THETA_PRODUCT_CUTOFF, -THETA_PRODUCT_CUTOFF])
+    def test_closed_form_at_cutoff_matches_decimal_reference(self, theta):
+        grid = np.linspace(0.0, 1.0, 21)
+        x, y = (a.ravel() for a in np.meshgrid(grid, grid))
+        got = _frank_values(FrankParameter(theta=theta), x, y)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            t = Decimal(theta)
+            denom = (-t).exp() - 1
+            for xi, yi, gi in zip(x.tolist(), y.tolist(), got.tolist()):
+                dx, dy = Decimal(xi), Decimal(yi)
+                inner = 1 + ((-t * dx).exp() - 1) * ((-t * dy).exp() - 1) / denom
+                assert abs(gi - float(-inner.ln() / t)) <= 1e-10, (xi, yi)
 
     @given(st.floats(-40, 40).filter(lambda t: t != 0.0),
            st.floats(-40, 40).filter(lambda t: t != 0.0), units, units)
