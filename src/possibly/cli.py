@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from .engine import (
     ADOPT_BOTH,
     ADOPT_RANDOM_ONE,
+    METRICS,
     POSSIBILISTIC,
     PROBABILISTIC,
     SimParams,
@@ -31,9 +32,9 @@ from .harness import (
     apply_param,
     collect_trajectories,
     emit_csv,
-    metric_names,
     run_preset,
     sweep,
+    trajectory_header,
     trajectory_rows,
 )
 from .possibility import (
@@ -295,11 +296,11 @@ def _cmd_run(cfg: CliConfig) -> int:
     trajectories = collect_trajectories(spec, cfg.workers)
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "run_trajectory.csv")
-    emit_csv(trajectory_rows(trajectories, cfg.params.model), path)
-    finals = [traj[-1] for traj in trajectories]
-    summary = " ".join(
-        f"{name}={sum(getattr(m, name) for m in finals) / len(finals):.4f}"
-        for name in metric_names(cfg.params.model))
+    emit_csv(trajectory_rows(trajectories), path,
+             trajectory_header(cfg.params.model))
+    finals = trajectories[:, -1].T.tolist()  # one list of run values per metric
+    summary = " ".join(f"{name}={sum(col) / len(col):.4f}"
+                       for name, col in zip(METRICS[cfg.params.model], finals))
     print(f"wrote {path}")
     print(f"final ({cfg.runs} run{'s' if cfg.runs != 1 else ''}): {summary}")
     return 0

@@ -27,8 +27,11 @@ Runs that share their shape (every SimParams field except rho, sigma,
 seed and the value of theta within its Frank branch, see lockstep_key)
 advance in lockstep: R of them are one (R, k, n) array, stepped together,
 while each draws from its own stream on the schedule above. Every row
-kernel does elementwise or rowwise arithmetic only, so a run's records are
+kernel does elementwise or rowwise arithmetic only, so a run's metrics are
 bit-identical whichever batch it is in; run() is the batch of one.
+
+A batch's metrics are one (R, steps + 1, m) array whose last axis holds the
+METRICS[model] columns, in that order.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .environment import EnvironmentSpec, NoiseSpec
+from .environment import EnvironmentSpec
 from .possibility import (
     FrankParameter,
     _frank_branch,
@@ -50,6 +53,7 @@ from .possibility import (
 from .probability import DEGENERATE_MASS
 
 __all__ = [
+    "METRICS",
     "POSSIBILISTIC",
     "PROBABILISTIC",
     "SimParams",
@@ -67,6 +71,13 @@ ADOPT_BOTH = "both"
 ADOPT_RANDOM_ONE = "random-one"
 
 _SEED_MAX = 2 ** 64
+
+# The metric columns of each model: the agent averages of Pi({s_n}) and
+# N({s_n}), or of p(s_n).
+METRICS = {
+    POSSIBILISTIC: ("mean_poss_best", "mean_nec_best"),
+    PROBABILISTIC: ("mean_prob_best",),
+}
 
 
 @dataclass(frozen=True)
@@ -107,12 +118,7 @@ class SimParams:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """Population aggregates at one step.
-
-    For the possibilistic model, mean_poss_best and mean_nec_best are the
-    agent averages of Pi({s_n}) and N({s_n}); for the probabilistic model,
-    mean_prob_best averages p(s_n).
-    """
+    """Population aggregates at one step: the model's METRICS columns."""
 
     step: int
     mean_poss_best: float | None = None
@@ -123,9 +129,6 @@ class MetricsRecord:
 @dataclass(frozen=True)
 class RunResult(Sequence):
     """Metric records for steps 0..steps, plus run diagnostics.
-
-    A result of run_batch(..., final_only=True) holds the last step's record
-    alone.
 
     degenerate_fusions counts product fusions that met disjoint supports and
     fell back to the uniform distribution.
@@ -258,72 +261,60 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     return degenerate
 
 
-def _metrics_from_array(b: np.ndarray, step_index: int,
-                        model: str) -> list[MetricsRecord]:
-    """One record per population of a (R, k, n) array."""
+def _metrics_from_array(b: np.ndarray, model: str) -> np.ndarray:
+    """The METRICS[model] columns of each population of a (R, k, n) array,
+    as an (R, m) array."""
     if model == POSSIBILISTIC:
-        poss = b[:, :, -1].mean(axis=1).tolist()
-        nec = (1.0 - b[:, :, :-1].max(axis=2)).mean(axis=1).tolist()
-        return [MetricsRecord(step=step_index, mean_poss_best=p, mean_nec_best=q)
-                for p, q in zip(poss, nec)]
-    return [MetricsRecord(step=step_index, mean_prob_best=p)
-            for p in b[:, :, -1].mean(axis=1).tolist()]
-
-
-def _lockstep(runs: Sequence[SimParams], env: EnvironmentSpec,
-              sigma: np.ndarray, final_only: bool) -> list[RunResult]:
-    shape = runs[0]
-    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(p.seed)))
-            for p in runs]
-    rho = np.array([p.rho for p in runs])
-    theta = _FrankRows.of([p.theta for p in runs])
-    qualities = np.asarray(env.qualities)
-    b = _initial_beliefs(shape, len(runs))
-    captured = []  # per captured step, one record per run
-    if not final_only:
-        captured.append(_metrics_from_array(b, 0, shape.model))
-    degenerate = np.zeros(len(runs), dtype=np.int64)
-    for t in range(1, shape.steps + 1):
-        degenerate += _sim_step(b, shape, qualities, rho, sigma, theta, rngs)
-        if not final_only:
-            captured.append(_metrics_from_array(b, t, shape.model))
-    if final_only:
-        captured.append(_metrics_from_array(b, shape.steps, shape.model))
-    return [RunResult(params=p, records=tuple(step[r] for step in captured),
-                      degenerate_fusions=int(degenerate[r]))
-            for r, p in enumerate(runs)]
+        return np.stack([b[:, :, -1].mean(axis=1),
+                         (1.0 - b[:, :, :-1].max(axis=2)).mean(axis=1)], axis=1)
+    return b[:, :, -1].mean(axis=1)[:, None]
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def run(params: SimParams, env: EnvironmentSpec | None = None,
-        noise: NoiseSpec | None = None) -> RunResult:
+def run(params: SimParams) -> RunResult:
     """Execute a full run: init, `steps` steps, one MetricsRecord per step
     plus one at step 0. Identical params give identical results."""
-    if env is None:
-        env = EnvironmentSpec.default(params.states)
-    if noise is None:
-        noise = NoiseSpec(sigma=params.sigma)
-    if env.n != params.states:
-        raise ValueError("environment does not match params")
-    return _lockstep([params], env, np.array([noise.sigma]), False)[0]
+    metrics, degenerate = run_batch([params])
+    names = METRICS[params.model]
+    records = tuple(MetricsRecord(step=t, **dict(zip(names, row)))
+                    for t, row in enumerate(metrics[0].tolist()))
+    return RunResult(params=params, records=records,
+                     degenerate_fusions=int(degenerate[0]))
 
 
 def run_batch(runs: Sequence[SimParams],
-              final_only: bool = False) -> list[RunResult]:
+              final_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Execute same-shape runs in lockstep, in the default environment.
 
-    Result i equals run(runs[i]) exactly; with final_only, its records hold
-    the last step's record alone and no earlier one is built.
+    Returns the metrics, an (R, steps + 1, m) array in METRICS[model] column
+    order, and each run's degenerate fusion count, an (R,) array. Row i
+    equals run(runs[i]) exactly. With final_only the metrics are (R, 1, m),
+    the last step's alone, and no earlier step's are computed.
     """
     runs = tuple(runs)
     if not runs:
         raise ValueError("need at least one run")
-    key = lockstep_key(runs[0])
+    shape = runs[0]
+    key = lockstep_key(shape)
     if any(lockstep_key(p) != key for p in runs[1:]):
         raise ValueError("runs of one batch may differ only in rho, sigma, "
                          "seed and theta within its Frank branch")
-    return _lockstep(runs, EnvironmentSpec.default(runs[0].states),
-                     np.array([p.sigma for p in runs]), final_only)
+    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(p.seed)))
+            for p in runs]
+    rho = np.array([p.rho for p in runs])
+    sigma = np.array([p.sigma for p in runs])
+    theta = _FrankRows.of([p.theta for p in runs])
+    qualities = np.asarray(EnvironmentSpec.default(shape.states).qualities)
+    b = _initial_beliefs(shape, len(runs))
+    metrics = np.empty((len(runs), 1 if final_only else shape.steps + 1,
+                        len(METRICS[shape.model])))
+    degenerate = np.zeros(len(runs), dtype=np.int64)
+    for t in range(shape.steps + 1):
+        if t:
+            degenerate += _sim_step(b, shape, qualities, rho, sigma, theta, rngs)
+        if not final_only or t == shape.steps:
+            metrics[:, -1 if final_only else t] = _metrics_from_array(b, shape.model)
+    return metrics, degenerate

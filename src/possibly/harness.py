@@ -8,7 +8,9 @@ and runs stay independent of worker count and scheduling order.
 Consecutive runs of one lockstep shape (engine.lockstep_key; a theta sweep
 is one shape per Frank branch) are stepped together by engine.run_batch, in
 as many contiguous batches as there are workers to share them; a run's
-records do not depend on its batch. The reversal curve spreads its points
+metrics do not depend on its batch. Runs come back as one
+(runs, steps + 1 or 1, m) array in METRICS[model] column order, and every
+fold and CSV reads that array. The reversal curve spreads its points
 over the same kind of pool, each point on its own seeded stream.
 """
 
@@ -17,16 +19,16 @@ from __future__ import annotations
 import itertools
 import os
 import tempfile
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .engine import (
+    METRICS,
     POSSIBILISTIC,
     PROBABILISTIC,
-    MetricsRecord,
     SimParams,
     lockstep_key,
     run,  # unused here; perfbench's tracer patches harness.run
@@ -36,18 +38,19 @@ from .environment import EnvironmentSpec, NoiseSpec, reversal_probability
 from .possibility import FrankParameter, PossibilityDistribution, fuse
 
 __all__ = [
+    "AGGREGATE_HEADER",
     "AggregateRecord",
     "apply_param",
     "DEFAULT_PARAMS",
     "DEFAULT_RUNS",
     "DEFAULT_SEED",
     "HISTOGRAM_BINS",
+    "HISTOGRAM_HEADER",
     "Preset",
     "PresetPart",
     "PRESET_NAMES",
     "SWEEP_PARAMS",
     "SweepSpec",
-    "TrajectoryRow",
     "aggregate_trajectories",
     "collect_finals",
     "collect_trajectories",
@@ -59,6 +62,7 @@ __all__ = [
     "run_part",
     "run_preset",
     "sweep",
+    "trajectory_header",
     "trajectory_rows",
 ]
 
@@ -68,6 +72,9 @@ HISTOGRAM_BINS = 20
 
 CAPTURE_FINAL = "final"
 CAPTURE_TRAJECTORY = "trajectory"
+
+AGGREGATE_HEADER = ("x", "metric", "mean", "p10", "p90")
+HISTOGRAM_HEADER = ("bin_lower", "count")
 
 # The documented defaults of every run: the fig4a parameterisation.
 DEFAULT_PARAMS = SimParams(agents=100, states=5, rho=0.05, sigma=0.0,
@@ -106,7 +113,7 @@ class SweepSpec:
     """One experiment: a base configuration, an optional swept parameter,
     and how many runs to average per grid point.
 
-    capture="final" keeps only each run's last MetricsRecord; "trajectory"
+    capture="final" keeps only each run's last step's metrics; "trajectory"
     keeps every step and requires a single-point grid.
     """
 
@@ -148,21 +155,9 @@ class AggregateRecord:
         if self.p10 > self.p90:
             raise ValueError("p10 must not exceed p90")
 
-
-@dataclass(frozen=True)
-class TrajectoryRow:
-    """One (run, step) row of a per-run trajectory table."""
-
-    run: int
-    step: int
-    model: str
-    values: tuple
-
-
-def metric_names(model: str) -> tuple[str, ...]:
-    if model == POSSIBILISTIC:
-        return ("mean_poss_best", "mean_nec_best")
-    return ("mean_prob_best",)
+    def __iter__(self):
+        # the cells of its CSV row, in AGGREGATE_HEADER order
+        return iter((self.x, self.metric, self.mean, self.p10, self.p90))
 
 
 def percentile(samples, q: float) -> float:
@@ -205,10 +200,7 @@ def derive_run_seed(base_seed: int, grid_index: int, run_index: int) -> int:
 
 def _run_job(args):
     runs, capture = args
-    results = run_batch(runs, final_only=capture == CAPTURE_FINAL)
-    if capture == CAPTURE_TRAJECTORY:
-        return [tuple(result) for result in results]
-    return [result[-1] for result in results]
+    return run_batch(runs, final_only=capture == CAPTURE_FINAL)[0]
 
 
 def _batches(runs, workers: int) -> list[tuple[SimParams, ...]]:
@@ -247,11 +239,11 @@ def _pool_map(fn, jobs: list, workers: int) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _map_jobs(runs, capture: str, workers: int):
-    # a run's records do not depend on its batch
+def _map_jobs(runs, capture: str, workers: int) -> np.ndarray:
+    # a run's metrics do not depend on its batch
     batches = _batches(runs, _pool_size(workers, len(runs)))
-    outs = _pool_map(_run_job, [(batch, capture) for batch in batches], workers)
-    return [out for batch in outs for out in batch]
+    return np.concatenate(
+        _pool_map(_run_job, [(batch, capture) for batch in batches], workers))
 
 
 def _runs_for(spec: SweepSpec) -> list[SimParams]:
@@ -263,39 +255,38 @@ def _runs_for(spec: SweepSpec) -> list[SimParams]:
     return runs
 
 
-def collect_finals(spec: SweepSpec, workers: int = 1) -> list[MetricsRecord]:
-    """Final-step record of every run of a single-point spec, in run order."""
+def collect_finals(spec: SweepSpec, workers: int = 1) -> np.ndarray:
+    """Final-step metrics of every run of a single-point spec, in run order:
+    a (runs, m) array."""
     if len(spec.grid) != 1:
         raise ValueError("collect_finals needs a single-point grid")
-    return _map_jobs(_runs_for(spec), CAPTURE_FINAL, workers)
+    return _map_jobs(_runs_for(spec), CAPTURE_FINAL, workers)[:, -1]
 
 
-def collect_trajectories(spec: SweepSpec, workers: int = 1) -> list[tuple[MetricsRecord, ...]]:
-    """All step records of every run of a single-point spec, in run order."""
+def collect_trajectories(spec: SweepSpec, workers: int = 1) -> np.ndarray:
+    """Every step's metrics of every run of a single-point spec, in run
+    order: a (runs, steps + 1, m) array."""
     if len(spec.grid) != 1:
         raise ValueError("collect_trajectories needs a single-point grid")
     return _map_jobs(_runs_for(spec), CAPTURE_TRAJECTORY, workers)
 
 
-def aggregate_trajectories(trajectories: Sequence[Sequence[MetricsRecord]],
+def _fold(metrics: np.ndarray, xs, model: str) -> list[AggregateRecord]:
+    """mean/p10/p90 across the runs of a (runs, len(xs), m) array, x-major."""
+    return [AggregateRecord(x=x, metric=name, mean=float(col.mean()),
+                            p10=percentile(col, 0.10), p90=percentile(col, 0.90))
+            for i, x in enumerate(xs)
+            for col, name in zip(metrics[:, i].T, METRICS[model])]
+
+
+def aggregate_trajectories(trajectories: np.ndarray,
                            model: str) -> list[AggregateRecord]:
-    """Per-step mean/p10/p90 across runs; x is the step number."""
-    if not trajectories:
+    """Per-step mean/p10/p90 across the runs of a collect_trajectories
+    array; x is the step number."""
+    if len(trajectories) == 0:
         raise ValueError("no trajectories to aggregate")
-    names = metric_names(model)
-    records = []
-    series = {
-        name: np.asarray([[getattr(rec, name) for rec in traj] for traj in trajectories])
-        for name in names
-    }
-    steps = len(trajectories[0])
-    for t in range(steps):
-        for name in names:
-            col = series[name][:, t]
-            records.append(AggregateRecord(
-                x=float(t), metric=name, mean=float(col.mean()),
-                p10=percentile(col, 0.10), p90=percentile(col, 0.90)))
-    return records
+    return _fold(trajectories, [float(t) for t in range(trajectories.shape[1])],
+                 model)
 
 
 def sweep(spec: SweepSpec, workers: int = 1) -> list[AggregateRecord]:
@@ -304,33 +295,25 @@ def sweep(spec: SweepSpec, workers: int = 1) -> list[AggregateRecord]:
     Results are folded in grid order after all runs complete, so the output
     is a pure function of the SweepSpec regardless of worker count.
     """
-    outs = _map_jobs(_runs_for(spec), spec.capture, workers)
+    metrics = _map_jobs(_runs_for(spec), spec.capture, workers)
     if spec.capture == CAPTURE_TRAJECTORY:
-        return aggregate_trajectories(outs, spec.base.model)
-    names = metric_names(spec.base.model)
-    records = []
-    for gi, v in enumerate(spec.grid):
-        finals = outs[gi * spec.runs:(gi + 1) * spec.runs]
-        x = float(gi) if v is None else float(v)
-        for name in names:
-            vals = np.asarray([getattr(m, name) for m in finals], dtype=float)
-            records.append(AggregateRecord(
-                x=x, metric=name, mean=float(vals.mean()),
-                p10=percentile(vals, 0.10), p90=percentile(vals, 0.90)))
-    return records
+        return aggregate_trajectories(metrics, spec.base.model)
+    xs = [float(gi) if v is None else float(v) for gi, v in enumerate(spec.grid)]
+    # (grid * runs, 1, m) -> (runs, grid, m)
+    by_point = metrics.reshape(len(spec.grid), spec.runs, -1).swapaxes(0, 1)
+    return _fold(by_point, xs, spec.base.model)
 
 
-def trajectory_rows(trajectories: Sequence[Sequence[MetricsRecord]],
-                    model: str) -> list[TrajectoryRow]:
-    """Flatten per-run trajectories into (run, step) CSV rows."""
-    names = metric_names(model)
-    rows = []
-    for ri, traj in enumerate(trajectories):
-        for rec in traj:
-            rows.append(TrajectoryRow(
-                run=ri, step=rec.step, model=model,
-                values=tuple(getattr(rec, name) for name in names)))
-    return rows
+def trajectory_header(model: str) -> tuple[str, ...]:
+    """The CSV header of a model's trajectory_rows."""
+    return ("run", "step", *METRICS[model])
+
+
+def trajectory_rows(trajectories: np.ndarray) -> list[list]:
+    """Flatten a collect_trajectories array into [run, step, *metrics] CSV
+    rows."""
+    return [[ri, t, *values] for ri, traj in enumerate(trajectories.tolist())
+            for t, values in enumerate(traj)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +326,13 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def emit_csv(records: Iterable, path) -> None:
-    """Write records as CSV: aggregate rows (x,metric,mean,p10,p90),
-    trajectory rows (run,step,<metrics>), or histogram pairs
-    (bin_lower,count). An empty record list writes the aggregate header.
+def emit_csv(rows: Collection, path, header=AGGREGATE_HEADER) -> None:
+    """Write header and rows as CSV, one line per row of cells: aggregate
+    records, histogram pairs under HISTOGRAM_HEADER, or trajectory_rows
+    under trajectory_header(model).
 
     Writes to a temp file and renames, so a failure leaves no partial file.
     """
-    records = list(records)
-    if records and isinstance(records[0], TrajectoryRow):
-        header = ["run", "step", *metric_names(records[0].model)]
-        rows = [[r.run, r.step, *r.values] for r in records]
-    elif records and isinstance(records[0], tuple):
-        header = ["bin_lower", "count"]
-        rows = [[lower, count] for lower, count in records]
-    else:
-        header = ["x", "metric", "mean", "p10", "p90"]
-        rows = [[r.x, r.metric, r.mean, r.p10, r.p90] for r in records]
-
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     try:
@@ -519,13 +491,15 @@ def run_part(part: PresetPart, out_dir, workers: int = 1,
     path = os.path.join(out_dir, part.stem + ".csv")
     if part.kind == "trajectory":
         trajs = collect_trajectories(part.spec, workers)
-        emit_csv(trajectory_rows(trajs, part.spec.base.model), path)
+        emit_csv(trajectory_rows(trajs), path,
+                 trajectory_header(part.spec.base.model))
     elif part.kind == "aggregate":
         emit_csv(sweep(part.spec, workers), path)
     elif part.kind == "histogram":
         finals = collect_finals(part.spec, workers)
-        emit_csv(histogram([getattr(m, part.metric) for m in finals],
-                           HISTOGRAM_BINS), path)
+        column = METRICS[part.spec.base.model].index(part.metric)
+        emit_csv(histogram(finals[:, column], HISTOGRAM_BINS), path,
+                 HISTOGRAM_HEADER)
     elif part.kind == "frank_curve":
         emit_csv(_frank_curve_records(part.curve_grid), path)
     elif part.kind == "reversal_curve":

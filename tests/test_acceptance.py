@@ -7,6 +7,7 @@ so the whole gate stays within a desk-scale runtime budget.
 """
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from conftest import record_criterion
 
 from possibly import (
+    METRICS,
     POSSIBILISTIC,
     PROBABILISTIC,
     EnvironmentSpec,
@@ -43,6 +45,13 @@ from possibly import (
 
 CASES = 10_000
 
+# every simulation here runs on all CPUs; its results do not depend on
+# the worker count
+WORKERS = os.cpu_count() or 1
+
+# a metric's column in a collect_finals/collect_trajectories array
+COLUMN = {name: i for names in METRICS.values() for i, name in enumerate(names)}
+
 
 def rng_for(grid_index: int, run_index: int = 0) -> np.random.Generator:
     seed = derive_run_seed(42, grid_index, run_index)
@@ -50,7 +59,7 @@ def rng_for(grid_index: int, run_index: int = 0) -> np.random.Generator:
 
 
 def mean_metric(finals, name: str) -> float:
-    return float(np.mean([getattr(m, name) for m in finals]))
+    return float(np.mean(finals[:, COLUMN[name]]))
 
 
 def check(number: int, label: str, checks: dict[str, bool], detail: str):
@@ -68,29 +77,29 @@ def check(number: int, label: str, checks: dict[str, bool], detail: str):
 
 @pytest.fixture(scope="session")
 def fig4a_finals():
-    return collect_finals(preset("fig4a").parts[0].spec)
+    return collect_finals(preset("fig4a").parts[0].spec, WORKERS)
 
 
 @pytest.fixture(scope="session")
 def fig4b_finals():
-    return collect_finals(preset("fig4b").parts[0].spec)
+    return collect_finals(preset("fig4b").parts[0].spec, WORKERS)
 
 
 @pytest.fixture(scope="session")
 def noisy_poss_finals():
     # rho=0.05, sigma=0.3, fusion on: feeds criteria 5, 6, and 7
-    return collect_finals(preset("fig8").parts[0].spec)
+    return collect_finals(preset("fig8").parts[0].spec, WORKERS)
 
 
 @pytest.fixture(scope="session")
 def noisy_prob_finals():
-    return collect_finals(preset("fig8").parts[1].spec)
+    return collect_finals(preset("fig8").parts[1].spec, WORKERS)
 
 
 @pytest.fixture(scope="session")
 def noisy_no_fusion_finals():
     base = replace(preset("fig8").parts[0].spec.base, fusion_enabled=False)
-    return collect_finals(SweepSpec(base=base))
+    return collect_finals(SweepSpec(base=base), WORKERS)
 
 
 @pytest.fixture(scope="session")
@@ -99,7 +108,7 @@ def high_rho_finals():
     for idx in (0, 1):
         base = preset("fig8").parts[idx].spec.base
         base = apply_param(base, "evidence-rate", 0.8)
-        out[base.model] = collect_finals(SweepSpec(base=base))
+        out[base.model] = collect_finals(SweepSpec(base=base), WORKERS)
     return out
 
 
@@ -110,10 +119,8 @@ def long_horizon_means():
     for part in preset("fig10").parts:
         model = part.spec.base.model
         name = "mean_nec_best" if model == POSSIBILISTIC else "mean_prob_best"
-        trajs = collect_trajectories(part.spec)
-        series = np.asarray([[getattr(rec, name) for rec in traj]
-                             for traj in trajs])
-        out[model] = series.mean(axis=0)
+        trajs = collect_trajectories(part.spec, WORKERS)
+        out[model] = trajs[:, :, COLUMN[name]].mean(axis=0)
     return out
 
 
@@ -202,7 +209,7 @@ def test_criterion_3_convergence_with_fusion(fig4a_finals, fig4b_finals):
 def test_criterion_4_theta_ordering():
     base = preset("fig5a").parts[0].spec.base
     spec = SweepSpec(base=base, param="theta", grid=(0.1, 100.0), runs=100)
-    records = {(r.x, r.metric): r.mean for r in sweep(spec)}
+    records = {(r.x, r.metric): r.mean for r in sweep(spec, WORKERS)}
     lo_pi, hi_pi = records[(0.1, "mean_poss_best")], records[(100.0, "mean_poss_best")]
     lo_n, hi_n = records[(0.1, "mean_nec_best")], records[(100.0, "mean_nec_best")]
     checks = {
@@ -243,11 +250,11 @@ def test_criterion_6_model_comparison(noisy_poss_finals, noisy_prob_finals,
 
 
 def test_criterion_7_outcome_bimodality(noisy_poss_finals, noisy_prob_finals):
-    prob_means = [m.mean_prob_best for m in noisy_prob_finals]
+    prob_means = noisy_prob_finals[:, COLUMN["mean_prob_best"]].tolist()
     low = [p for p in prob_means if p <= 0.1]
     high = [p for p in prob_means if p >= 0.9]
     strays = [p for p in prob_means if 0.1 < p < 0.9]
-    poss_means = [m.mean_poss_best for m in noisy_poss_finals]
+    poss_means = noisy_poss_finals[:, COLUMN["mean_poss_best"]].tolist()
     share_high = sum(1 for p in poss_means if p > 0.9) / len(poss_means)
     checks = {
         "all probabilistic runs in a mode": not strays,

@@ -29,6 +29,7 @@ from possibly import (
     run,
 )
 from possibly.engine import (
+    METRICS,
     _initial_beliefs,
     _metrics_from_array,
     _sim_step,
@@ -66,6 +67,12 @@ def step_one(b, p, rng):
     return int(_sim_step(b[None], p, QUALITIES3, np.array([p.rho]),
                          np.array([p.sigma]), _FrankRows.of([p.theta]),
                          [rng])[0])
+
+
+def metric_rows(result):
+    """A RunResult's records as rows of its METRICS columns."""
+    names = METRICS[result.params.model]
+    return [[getattr(m, name) for name in names] for m in result]
 
 
 def draw_state(p_row, u):
@@ -110,12 +117,14 @@ class TestInitAndMetrics:
         b = np.array([[0.2, 0.4, 1.0],
                       [1.0, 0.6, 0.8]])
         # a batch of two populations: b and b with its agents' rows reversed
-        m, m_rev = _metrics_from_array(np.stack([b, b[::-1]]), 3, POSSIBILISTIC)
-        assert m.step == 3
-        assert m.mean_poss_best == pytest.approx((1.0 + 0.8) / 2)
+        m, m_rev = _metrics_from_array(np.stack([b, b[::-1]]), POSSIBILISTIC)
+        poss, nec = m  # METRICS[POSSIBILISTIC] order
+        assert poss == pytest.approx((1.0 + 0.8) / 2)
         # N(s3) = 1 - max(pi(s1), pi(s2)) per agent
-        assert m.mean_nec_best == pytest.approx(((1 - 0.4) + (1 - 1.0)) / 2)
-        assert m_rev == m
+        assert nec == pytest.approx(((1 - 0.4) + (1 - 1.0)) / 2)
+        assert (m_rev == m).all()
+        prob = _metrics_from_array(np.stack([b, b[::-1]]), PROBABILISTIC)
+        assert prob.shape == (2, 1) and prob[0, 0] == poss
 
 
 class TestRunBasics:
@@ -150,10 +159,6 @@ class TestRunBasics:
         result = run(params(rho=0.0, fusion_enabled=True, steps=20))
         assert result[-1].mean_poss_best == 1.0
         assert result[-1].mean_nec_best == 0.0
-
-    def test_mismatched_environment_rejected(self):
-        with pytest.raises(ValueError):
-            run(params(states=3), env=EnvironmentSpec.default(4))
 
     def test_degenerate_fusions_counted(self):
         # high noise + certain evidence forces disjoint one-hot beliefs to
@@ -328,22 +333,24 @@ class TestLockstep:
                           steps=steps, model=model, seed=seed + r,
                           fusion_enabled=fusion, fusion_adoption=adoption)
                 for r, ((rho, sigma), theta) in enumerate(zip(mix, thetas))]
-        batch = run_batch(runs)
-        finals = run_batch(runs, final_only=True)
-        for p, got, final in zip(runs, batch, finals):
+        batch, degenerate = run_batch(runs)
+        finals, final_degenerate = run_batch(runs, final_only=True)
+        assert batch.shape == (len(runs), steps + 1, len(METRICS[model]))
+        assert finals.shape == (len(runs), 1, len(METRICS[model]))
+        for r, p in enumerate(runs):
             alone = run(p)
-            assert got.records == alone.records
-            assert got.degenerate_fusions == alone.degenerate_fusions
-            assert final.records == alone.records[-1:]
-            assert final.degenerate_fusions == alone.degenerate_fusions
+            assert batch[r].tolist() == metric_rows(alone)
+            assert degenerate[r] == alone.degenerate_fusions
+            assert finals[r].tolist() == metric_rows(alone)[-1:]
+            assert final_degenerate[r] == alone.degenerate_fusions
 
     def test_batch_counts_degenerate_fusions_per_run(self):
         runs = [SimParams(agents=6, states=3, rho=rho, sigma=2.0, theta=THETA20,
                           steps=300, model=PROBABILISTIC, seed=5)
                 for rho in (1.0, 0.0)]
-        busy, quiet = run_batch(runs)
-        assert busy.degenerate_fusions == run(runs[0]).degenerate_fusions > 0
-        assert quiet.degenerate_fusions == 0
+        busy, quiet = run_batch(runs)[1]
+        assert busy == run(runs[0]).degenerate_fusions > 0
+        assert quiet == 0
 
     def test_rejects_mixed_shapes_and_empty_batches(self):
         assert lockstep_key(params(rho=0.3, sigma=1.0, seed=9)) == lockstep_key(params())
@@ -367,8 +374,8 @@ class TestLockstep:
         assert lockstep_key(product) == lockstep_key(tiny)
         assert lockstep_key(tiny) != lockstep_key(
             params(theta=FrankParameter(theta=1e-4)))
-        assert [r.records for r in run_batch([product, tiny])] == \
-            [run(product).records, run(tiny).records]
+        assert run_batch([product, tiny])[0].tolist() == \
+            [metric_rows(run(product)), metric_rows(run(tiny))]
 
 
 class TestModelBehaviour:

@@ -1,6 +1,7 @@
 """Sweep orchestration, aggregation statistics, presets, and CSV output."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from possibly import (
     FrankParameter,
     SimParams,
     SweepSpec,
-    TrajectoryRow,
     aggregate_trajectories,
     collect_finals,
     collect_trajectories,
@@ -28,7 +28,12 @@ from possibly import (
 )
 from possibly import engine
 from possibly import harness
-from possibly.harness import PRESET_NAMES, PresetPart
+from possibly.harness import (
+    HISTOGRAM_HEADER,
+    PRESET_NAMES,
+    PresetPart,
+    trajectory_header,
+)
 
 THETA20 = FrankParameter(theta=20.0)
 
@@ -182,9 +187,11 @@ class TestSweep:
         spec = SweepSpec(base=tiny_params(), runs=3)
         finals = collect_finals(spec)
         trajs = collect_trajectories(spec)
-        assert [t[-1] for t in trajs] == finals
+        assert finals.shape == (3, 2) and trajs.shape == (3, 7, 2)
+        assert (trajs[:, -1] == finals).all()
         direct = run(tiny_params(seed=derive_run_seed(7, 0, 1)))
-        assert trajs[1] == tuple(direct)
+        assert trajs[1].tolist() == [[m.mean_poss_best, m.mean_nec_best]
+                                     for m in direct]
 
     def test_trajectory_aggregation_uses_step_as_x(self):
         trajs = collect_trajectories(SweepSpec(base=tiny_params(), runs=4))
@@ -217,18 +224,19 @@ class TestEmitCsv:
         assert float(line[3]) == rec.p10
 
     def test_trajectory_schema_by_model(self, tmp_path):
-        poss = TrajectoryRow(run=0, step=1, model=POSSIBILISTIC, values=(0.9, 0.1))
-        prob = TrajectoryRow(run=0, step=1, model=PROBABILISTIC, values=(0.4,))
+        poss = trajectory_rows(np.array([[[1.0, 0.0], [0.9, 0.1]]]))
+        prob = trajectory_rows(np.array([[[0.2], [0.4]]]))
+        assert poss == [[0, 0, 1.0, 0.0], [0, 1, 0.9, 0.1]]
         p1, p2 = tmp_path / "poss.csv", tmp_path / "prob.csv"
-        emit_csv([poss], p1)
-        emit_csv([prob], p2)
+        emit_csv(poss, p1, trajectory_header(POSSIBILISTIC))
+        emit_csv(prob, p2, trajectory_header(PROBABILISTIC))
         assert p1.read_text().splitlines()[0] == "run,step,mean_poss_best,mean_nec_best"
-        assert p1.read_text().splitlines()[1] == "0,1,0.9,0.1"
+        assert p1.read_text().splitlines()[2] == "0,1,0.9,0.1"
         assert p2.read_text().splitlines()[0] == "run,step,mean_prob_best"
 
     def test_histogram_schema(self, tmp_path):
         path = tmp_path / "hist.csv"
-        emit_csv(histogram([0.05, 0.96], bins=2), path)
+        emit_csv(histogram([0.05, 0.96], bins=2), path, HISTOGRAM_HEADER)
         assert path.read_text() == "bin_lower,count\n0.0,1\n0.5,1\n"
 
     def test_failure_leaves_no_partial_file(self, tmp_path):
@@ -342,6 +350,22 @@ class TestRunPart:
         assert lines[0] == "bin_lower,count"
         assert sum(int(l.split(",")[1]) for l in lines[1:]) == 3
 
+    @pytest.mark.parametrize("model, metric", [
+        (POSSIBILISTIC, "mean_poss_best"), (POSSIBILISTIC, "mean_nec_best"),
+        (PROBABILISTIC, "mean_prob_best")])
+    def test_histogram_part_bins_the_named_metric(self, tmp_path, model, metric):
+        # at these params the possibilistic finals of the two columns fall
+        # in different bins, so binning the wrong column changes the file
+        base = tiny_params(model=model, steps=3)
+        part = PresetPart(stem="h", kind="histogram", metric=metric,
+                          spec=SweepSpec(base=base, runs=4))
+        finals = [getattr(run(replace(base, seed=derive_run_seed(7, 0, ri)))[-1],
+                          metric) for ri in range(4)]
+        expected = "".join(f"{lower!r},{count}\n"
+                           for lower, count in histogram(finals))
+        assert open(run_part(part, tmp_path)).read() == \
+            "bin_lower,count\n" + expected
+
     def test_fig2_runs_quickly_and_is_monotone_in_theta(self, tmp_path):
         """The fused value of the contested state falls as theta rises:
         the pairwise consistency grows with theta, so less mass is added
@@ -380,6 +404,19 @@ class TestParallelDeterminism:
         emit_csv(sweep(spec, workers=2), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_trajectory_bytes_do_not_depend_on_workers(self, tmp_path,
+                                                       monkeypatch):
+        # two workers cut the four runs 2 + 2; the batches' arrays are
+        # joined in run order
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        spec = SweepSpec(base=tiny_params(), runs=4, capture="trajectory")
+        batches = harness._batches(harness._runs_for(spec), 2)
+        assert [len(batch) for batch in batches] == [2, 2]
+        part = PresetPart(stem="t", kind="trajectory", spec=spec)
+        p1 = run_part(part, tmp_path / "w1", workers=1)
+        p2 = run_part(part, tmp_path / "w2", workers=2)
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+
     def test_reversal_curve_bytes_do_not_depend_on_workers(self, tmp_path,
                                                           monkeypatch):
         # its 11 points run on a 2-process pool, each on its own stream
@@ -410,17 +447,17 @@ class TestBatching:
         calls = []
         metrics = engine._metrics_from_array
 
-        def counted(b, step, model):
-            calls.append(step)
-            return metrics(b, step, model)
+        def counted(b, model):
+            calls.append(b.copy())
+            return metrics(b, model)
 
         monkeypatch.setattr(engine, "_metrics_from_array", counted)
-        made = {}
         for steps in (10, 100):
             calls.clear()
-            collect_finals(SweepSpec(base=tiny_params(steps=steps), runs=3))
-            made[steps] = list(calls)
-        assert made == {10: [10], 100: [100]}
+            finals = collect_finals(SweepSpec(base=tiny_params(steps=steps),
+                                              runs=3))
+            assert len(calls) == 1
+            assert (metrics(calls[0], POSSIBILISTIC) == finals).all()
 
 
 
