@@ -30,6 +30,12 @@ while each draws from its own stream on the schedule above. Every row
 kernel does elementwise or rowwise arithmetic only, so a run's metrics are
 bit-identical whichever batch it is in; run() is the batch of one.
 
+Each agent's betting row (the pignistic transform of its possibility
+distribution; in the probabilistic model the belief itself) is kept next
+to the beliefs and recomputed only for the rows a step writes: the fused
+pair's adopters and the agents that took evidence. By the same rowwise
+argument the kept rows equal a fresh transform of every row, bit for bit.
+
 A batch's metrics are one (R, steps + 1, m) array whose last axis holds the
 METRICS[model] columns, in that order.
 """
@@ -190,13 +196,17 @@ def _draw_states_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((u[:, None] > c).sum(axis=1), p.shape[1] - 1)
 
 
-def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
-              rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
+def _sim_step(b: np.ndarray, bet: np.ndarray, params: SimParams,
+              qualities: np.ndarray, rho: np.ndarray, sigma: np.ndarray,
+              theta: _FrankRows,
               rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Advance R same-shape populations, a (R, k, n) array, one step in
-    place. params gives the shared shape; rho, sigma, theta (an (R, 1)
-    column, or a scalar when all runs share it) and rngs hold one entry per
-    run. Returns each run's number of degenerate product fusions."""
+    place. bet holds each agent's betting row, updated in place wherever a
+    belief is written: the pignistic rows of b, or b itself in the
+    probabilistic model. params gives the shared shape; rho, sigma, theta
+    (an (R, 1) column, or a scalar when all runs share it) and rngs hold
+    one entry per run. Returns each run's number of degenerate product
+    fusions."""
     r_count, k, n = b.shape
     possibilistic = params.model == POSSIBILISTIC
     degenerate = np.zeros(r_count, dtype=np.int64)
@@ -220,6 +230,7 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
         bi, bj = b[run_rows, pairs[:, 0]], b[run_rows, pairs[:, 1]]
         if possibilistic:
             fused = _fuse_rows(theta, bi, bj)
+            fused_bet = _pignistic_rows(fused)
         else:
             fused = bi * bj
             s = fused.sum(axis=1)
@@ -227,16 +238,17 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
             fused /= np.where(bad, 1.0, s)[:, None]
             fused[bad] = 1.0 / n
             degenerate += bad
-        if params.fusion_adoption == ADOPT_BOTH:
-            b[run_rows, pairs[:, 0]] = fused
-            b[run_rows, pairs[:, 1]] = fused
-        else:
-            b[run_rows, pairs[:, 2]] = fused
+        adopters = pairs[:, :2] if params.fusion_adoption == ADOPT_BOTH \
+            else pairs[:, 2:]
+        for col in adopters.T:
+            b[run_rows, col] = fused
+            if possibilistic:
+                bet[run_rows, col] = fused_bet
 
-    # the R populations as R*k agent rows (a view, so writes land in b)
+    # the R populations as R*k agent rows (views, so writes land in b, bet)
     rows_b = b.reshape(r_count * k, n)
-    betting = _pignistic_rows(rows_b) if possibilistic else rows_b
-    states = _draw_states_rows(betting, u_state.reshape(-1))
+    rows_bet = bet.reshape(r_count * k, n)
+    states = _draw_states_rows(rows_bet, u_state.reshape(-1))
     rows = np.flatnonzero(u_succ < rho[:, None])
     if rows.size:
         si = states[rows]
@@ -245,7 +257,9 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
         if possibilistic:
             ev = np.repeat((1.0 - qhat)[:, None], n, axis=1)
             ev[np.arange(rows.size), si] = 1.0
-            rows_b[rows] = _fuse_rows(theta.take(rows // k), rows_b[rows], ev)
+            fused = _fuse_rows(theta.take(rows // k), rows_b[rows], ev)
+            rows_b[rows] = fused
+            rows_bet[rows] = _pignistic_rows(fused)
         else:
             ev = np.repeat(((1.0 - qhat) / n)[:, None], n, axis=1)
             ev[np.arange(rows.size), si] = ((n - 1) * qhat + 1.0) / n
@@ -309,12 +323,16 @@ def run_batch(runs: Sequence[SimParams],
     theta = _FrankRows.of([p.theta for p in runs])
     qualities = np.asarray(EnvironmentSpec.default(shape.states).qualities)
     b = _initial_beliefs(shape, len(runs))
+    bet = b
+    if shape.model == POSSIBILISTIC:
+        bet = _pignistic_rows(b.reshape(-1, shape.states)).reshape(b.shape)
     metrics = np.empty((len(runs), 1 if final_only else shape.steps + 1,
                         len(METRICS[shape.model])))
     degenerate = np.zeros(len(runs), dtype=np.int64)
     for t in range(shape.steps + 1):
         if t:
-            degenerate += _sim_step(b, shape, qualities, rho, sigma, theta, rngs)
+            degenerate += _sim_step(b, bet, shape, qualities, rho, sigma,
+                                    theta, rngs)
         if not final_only or t == shape.steps:
             metrics[:, -1 if final_only else t] = _metrics_from_array(b, shape.model)
     return metrics, degenerate

@@ -162,7 +162,9 @@ class AggregateRecord:
 
 def percentile(samples, q: float) -> float:
     """Linear-interpolation percentile at rank q*(N-1) on sorted samples."""
-    arr = np.asarray(tuple(samples), dtype=float)
+    if not isinstance(samples, np.ndarray):
+        samples = tuple(samples)  # any iterable, generators too
+    arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise ValueError("percentile of an empty sample set")
     if not 0.0 <= q <= 1.0:

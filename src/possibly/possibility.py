@@ -336,16 +336,17 @@ def _pignistic_rows(b: np.ndarray) -> np.ndarray:
     result does not depend on their order.
     """
     m, n = b.shape
+    # flat positions of each row's entries in sorted order
     order = np.argsort(-b, axis=1, kind="stable")
-    v = np.take_along_axis(b, order, axis=1)
+    order += np.arange(0, m * n, n)[:, None]
+    v = b.ravel()[order]
     diffs = np.empty_like(v)
     diffs[:, :-1] = v[:, :-1] - v[:, 1:]
     diffs[:, -1] = v[:, -1]
     diffs /= np.arange(1, n + 1)
-    p_sorted = np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
-    p = np.empty_like(b)
-    np.put_along_axis(p, order, p_sorted, axis=1)
-    return p
+    p = np.empty(m * n)
+    p[order] = np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
+    return p.reshape(m, n)
 
 
 def pignistic(pi: PossibilityDistribution) -> ProbabilityDistribution:

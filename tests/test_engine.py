@@ -1,5 +1,6 @@
 """Simulation engine: parameter validation, the fixed per-step draw
-schedule, determinism, lockstep batching, and population metrics.
+schedule, determinism, lockstep batching, the kept betting rows, numerical
+edge cases, and population metrics.
 
 The schedule contract tests replicate the engine's documented draw order
 with an identically seeded generator and check the resulting beliefs
@@ -16,6 +17,7 @@ from possibly import (
     ADOPT_RANDOM_ONE,
     POSSIBILISTIC,
     PROBABILISTIC,
+    DegenerateFusionWarning,
     EnvironmentSpec,
     FrankParameter,
     PossibilityDistribution,
@@ -36,9 +38,12 @@ from possibly.engine import (
     lockstep_key,
     run_batch,
 )
-from possibly.possibility import _FrankRows
+from possibly.possibility import _FrankRows, _pignistic_rows
+from possibly.probability import DEGENERATE_MASS
 
 THETA20 = FrankParameter(theta=20.0)
+# evidence rates, with both endpoints always among the examples
+rhos = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
 QUALITIES3 = np.asarray(EnvironmentSpec.default(3).qualities)
 
 
@@ -61,12 +66,28 @@ def draw_pair(rng, k):
     return i, j
 
 
+def fresh_betting(b, model):
+    """The betting rows of a (R, k, n) belief array, computed afresh: the
+    pignistic transform of every row, or b itself."""
+    if model == PROBABILISTIC:
+        return b
+    return _pignistic_rows(b.reshape(-1, b.shape[-1])).reshape(b.shape)
+
+
+def step_batch(b, bet, p, rngs, rho, sigma, thetas):
+    """One lockstep step of the populations b (R, k, n) with their betting
+    rows bet, both updated in place; returns the degenerate fusion counts."""
+    qualities = np.asarray(EnvironmentSpec.default(p.states).qualities)
+    return _sim_step(b, bet, p, qualities, np.asarray(rho, dtype=float),
+                     np.asarray(sigma, dtype=float), _FrankRows.of(thetas), rngs)
+
+
 def step_one(b, p, rng):
     """One lockstep step of a batch of one population (a (k, n) array,
     updated in place); returns its degenerate fusion count."""
-    return int(_sim_step(b[None], p, QUALITIES3, np.array([p.rho]),
-                         np.array([p.sigma]), _FrankRows.of([p.theta]),
-                         [rng])[0])
+    bb = b[None]
+    return int(step_batch(bb, fresh_betting(bb, p.model), p, [rng], [p.rho],
+                          [p.sigma], [p.theta])[0])
 
 
 def metric_rows(result):
@@ -322,7 +343,7 @@ class TestLockstep:
            model=st.sampled_from((POSSIBILISTIC, PROBABILISTIC)),
            fusion=st.booleans(),
            adoption=st.sampled_from((ADOPT_BOTH, ADOPT_RANDOM_ONE)),
-           mix=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 3.0)),
+           mix=st.lists(st.tuples(rhos, st.floats(0.0, 3.0)),
                         min_size=2, max_size=4),
            steps=st.integers(1, 8), seed=st.integers(0, 2 ** 32),
            data=st.data())
@@ -376,6 +397,71 @@ class TestLockstep:
             params(theta=FrankParameter(theta=1e-4)))
         assert run_batch([product, tiny])[0].tolist() == \
             [metric_rows(run(product)), metric_rows(run(tiny))]
+
+
+class TestBettingCache:
+    """The betting rows _sim_step keeps equal a fresh transform of every
+    belief row after every step."""
+
+    @given(k=st.integers(2, 8), n=st.integers(2, 6),
+           model=st.sampled_from((POSSIBILISTIC, PROBABILISTIC)),
+           fusion=st.booleans(),
+           adoption=st.sampled_from((ADOPT_BOTH, ADOPT_RANDOM_ONE)),
+           mix=st.lists(st.tuples(rhos, st.floats(0.0, 3.0)),
+                        min_size=1, max_size=3),
+           steps=st.integers(1, 8), seed=st.integers(0, 2 ** 32))
+    def test_kept_rows_equal_a_fresh_transform(self, k, n, model, fusion,
+                                               adoption, mix, steps, seed):
+        p = SimParams(agents=k, states=n, rho=0.0, sigma=0.0, theta=THETA20,
+                      steps=steps, model=model, seed=seed,
+                      fusion_enabled=fusion, fusion_adoption=adoption)
+        rho, sigma = zip(*mix)
+        rngs = [fresh_rng(seed + r) for r in range(len(mix))]
+        b = _initial_beliefs(p, len(mix))
+        bet = fresh_betting(b, model)
+        for _ in range(steps):
+            step_batch(b, bet, p, rngs, rho, sigma, [p.theta] * len(mix))
+            if model == PROBABILISTIC:
+                assert bet is b
+            else:
+                assert np.array_equal(bet, fresh_betting(b, model))
+
+
+class TestNumericalEdges:
+    @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
+    def test_one_hot_population_stays_valid(self, model):
+        # every agent certain of one state, the states spread over agents
+        p = params(agents=6, model=model)
+        b = np.zeros((2, 6, 3))
+        b[:, np.arange(6), np.arange(6) % 3] = 1.0
+        bet = fresh_betting(b, model)
+        rngs = [fresh_rng(4), fresh_rng(5)]
+        for _ in range(10):
+            step_batch(b, bet, p, rngs, [0.5, 1.0], [0.3, 0.3], [p.theta] * 2)
+            assert not np.isnan(b).any() and not np.isnan(bet).any()
+            assert ((0.0 <= b) & (b <= 1.0)).all()
+            if model == POSSIBILISTIC:
+                assert (b.max(axis=2) == 1.0).all()
+                assert np.array_equal(bet, fresh_betting(b, model))
+            else:
+                assert b.sum(axis=2) == pytest.approx(np.ones((2, 6)), abs=1e-9)
+                assert bet is b
+
+    def test_underflowing_product_mass_resets_to_uniform(self):
+        # the only overlap is 1e-200 * 1e-105 = 1e-305: a positive mass,
+        # not exactly 0, below DEGENERATE_MASS
+        p = params(agents=2, model=PROBABILISTIC)
+        b = np.array([[[1e-200, 1.0, 0.0],
+                       [1e-105, 0.0, 1.0]]])
+        assert 0.0 < (b[0, 0] * b[0, 1]).sum() < DEGENERATE_MASS
+        degenerate = step_batch(b, b, p, [fresh_rng(1)], [0.0], [0.0],
+                                [p.theta])
+        assert degenerate.tolist() == [1]
+        assert (b == 1.0 / 3).all()
+        with pytest.warns(DegenerateFusionWarning):
+            fused = product_fuse(ProbabilityDistribution([1e-200, 1.0, 0.0]),
+                                 ProbabilityDistribution([1e-105, 0.0, 1.0]))
+        assert fused.values == pytest.approx((1 / 3,) * 3, abs=1e-15)
 
 
 class TestModelBehaviour:

@@ -57,6 +57,15 @@ class TestPercentile:
         # rank = 0.1 * (4 - 1) = 0.3, so 10 + 0.3 * (20 - 10)
         assert percentile([10, 20, 30, 40], 0.1) == pytest.approx(13.0, abs=1e-12)
 
+    def test_array_and_generator_inputs(self):
+        # a strided column of an array, read in place, and a generator
+        cols = np.array([[10.0, 1.0], [40.0, 2.0], [20.0, 3.0], [30.0, 4.0]])
+        assert percentile(cols[:, 0], 0.1) == percentile([10, 40, 20, 30], 0.1)
+        assert percentile((v for v in (10, 40, 20, 30)), 0.9) == \
+            percentile(cols[:, 0], 0.9)
+        with pytest.raises(ValueError):
+            percentile(np.empty(0), 0.5)
+
     def test_rejects_empty_and_bad_q(self):
         with pytest.raises(ValueError):
             percentile([], 0.5)

@@ -27,7 +27,11 @@ from possibly import (
     possibility_measure,
     vacuous,
 )
-from possibly.possibility import THETA_PRODUCT_CUTOFF, _frank_values
+from possibly.possibility import (
+    THETA_PRODUCT_CUTOFF,
+    _frank_values,
+    _pignistic_rows,
+)
 
 # T_10(0.8, 0.9) to full double precision (mpmath, 400 digits)
 T10_08_09 = 0.7790974275891844
@@ -401,3 +405,44 @@ class TestPignistic:
         p = pignistic(pi).values
         q = pignistic(permuted).values
         assert q == pytest.approx([p[i] for i in perm], abs=1e-12)
+
+
+def pignistic_rows_along_axis(b):
+    """The pignistic rows through take_along_axis/put_along_axis, with the
+    same subtractions, divisors and cumsum order as _pignistic_rows."""
+    n = b.shape[1]
+    order = np.argsort(-b, axis=1, kind="stable")
+    v = np.take_along_axis(b, order, axis=1)
+    diffs = np.empty_like(v)
+    diffs[:, :-1] = v[:, :-1] - v[:, 1:]
+    diffs[:, -1] = v[:, -1]
+    diffs /= np.arange(1, n + 1)
+    p_sorted = np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
+    p = np.empty_like(b)
+    np.put_along_axis(p, order, p_sorted, axis=1)
+    return p
+
+
+class TestPignisticRows:
+    """The flat-index kernel gives the along-axis reference bit for bit."""
+
+    @pytest.mark.parametrize("b", [
+        np.array([[1.0, 0.5, 0.5, 0.2], [0.3, 1.0, 0.3, 1.0]]),  # ties
+        np.ones((3, 5)),
+        np.eye(4),  # one-hot rows
+        np.array([[1.0, 0.25], [0.0, 1.0], [1.0, 1.0]]),  # n = 2
+        np.array([[0.1, 1.0, 0.7]]),  # m = 1
+        np.array([[1.0, 0.0]]),
+    ], ids=["ties", "all-ones", "one-hot", "n2", "m1", "m1-n2"])
+    def test_edge_rows(self, b):
+        assert np.array_equal(_pignistic_rows(b), pignistic_rows_along_axis(b))
+
+    @given(m=st.integers(1, 40), n=st.integers(2, 20),
+           seed=st.integers(0, 2 ** 32), coarse=st.booleans())
+    def test_random_blocks(self, m, n, seed, coarse):
+        rng = np.random.default_rng(seed)
+        b = rng.random((m, n))
+        if coarse:
+            b = np.round(b, 1)  # many ties and zeros
+        b[np.arange(m), rng.integers(n, size=m)] = 1.0
+        assert np.array_equal(_pignistic_rows(b), pignistic_rows_along_axis(b))
