@@ -142,8 +142,9 @@ def _read_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
-        _fail("--config", f"cannot read {path}: {exc.strerror or exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail("--config",
+              f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
     mapping = {}
     for ln, line in enumerate(lines, start=1):
         text = line.strip()
@@ -292,9 +293,9 @@ def _parse_grid(base: SimParams, param: str, text: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _cmd_run(cfg: CliConfig) -> int:
+    os.makedirs(cfg.out, exist_ok=True)  # fail before simulating
     spec = SweepSpec(base=cfg.params, runs=cfg.runs, capture="trajectory")
     trajectories = collect_trajectories(spec, cfg.workers)
-    os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "run_trajectory.csv")
     emit_csv(trajectory_rows(trajectories), path,
              trajectory_header(cfg.params.model))
@@ -309,8 +310,8 @@ def _cmd_run(cfg: CliConfig) -> int:
 def _cmd_sweep(cfg: CliConfig) -> int:
     spec = SweepSpec(base=cfg.params, param=cfg.sweep_param,
                      grid=cfg.sweep_grid, runs=cfg.runs, capture="final")
+    os.makedirs(cfg.out, exist_ok=True)  # fail before simulating
     records = sweep(spec, cfg.workers)
-    os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"sweep_{cfg.sweep_param.replace('-', '_')}.csv")
     emit_csv(records, path)
     print(f"wrote {path}")

@@ -191,9 +191,10 @@ def _draw_pair(rng: np.random.Generator, k: int) -> tuple[int, int]:
 
 
 def _draw_states_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # inverse-CDF draw per row; returns 0-based state columns
-    c = np.cumsum(p, axis=1)
-    return np.minimum((u[:, None] > c).sum(axis=1), p.shape[1] - 1)
+    # inverse-CDF draw per row; returns 0-based state columns. add.accumulate
+    # and add.reduce are what cumsum and sum call, minus their wrappers.
+    states = np.add.reduce(u[:, None] > np.add.accumulate(p, axis=1), axis=1)
+    return np.minimum(states, p.shape[1] - 1, out=states)
 
 
 def _sim_step(b: np.ndarray, bet: np.ndarray, params: SimParams,
@@ -233,41 +234,42 @@ def _sim_step(b: np.ndarray, bet: np.ndarray, params: SimParams,
             fused_bet = _pignistic_rows(fused)
         else:
             fused = bi * bj
-            s = fused.sum(axis=1)
+            s = np.add.reduce(fused, axis=1)
             bad = s < DEGENERATE_MASS
             fused /= np.where(bad, 1.0, s)[:, None]
             fused[bad] = 1.0 / n
             degenerate += bad
-        adopters = pairs[:, :2] if params.fusion_adoption == ADOPT_BOTH \
-            else pairs[:, 2:]
-        for col in adopters.T:
-            b[run_rows, col] = fused
-            if possibilistic:
-                bet[run_rows, col] = fused_bet
+        adopters = (run_rows[:, None],
+                    pairs[:, :2] if params.fusion_adoption == ADOPT_BOTH
+                    else pairs[:, 2:])
+        b[adopters] = fused[:, None]
+        if possibilistic:
+            bet[adopters] = fused_bet[:, None]
 
     # the R populations as R*k agent rows (views, so writes land in b, bet)
     rows_b = b.reshape(r_count * k, n)
     rows_bet = bet.reshape(r_count * k, n)
     states = _draw_states_rows(rows_bet, u_state.reshape(-1))
-    rows = np.flatnonzero(u_succ < rho[:, None])
+    rows = (u_succ < rho[:, None]).ravel().nonzero()[0]
     if rows.size:
+        runs = rows // k  # the run of each row that took evidence
         si = states[rows]
-        qhat = np.clip(qualities[si] + (sigma[:, None] * eps).reshape(-1)[rows],
-                       0.0, 1.0)
+        qhat = qualities[si] + sigma[runs] * eps.reshape(-1)[rows]
+        np.minimum(np.maximum(qhat, 0.0, out=qhat), 1.0, out=qhat)
         if possibilistic:
-            ev = np.repeat((1.0 - qhat)[:, None], n, axis=1)
+            ev = (1.0 - qhat)[:, None].repeat(n, axis=1)
             ev[np.arange(rows.size), si] = 1.0
-            fused = _fuse_rows(theta.take(rows // k), rows_b[rows], ev)
+            fused = _fuse_rows(theta.take(runs), rows_b[rows], ev)
             rows_b[rows] = fused
             rows_bet[rows] = _pignistic_rows(fused)
         else:
-            ev = np.repeat(((1.0 - qhat) / n)[:, None], n, axis=1)
+            ev = ((1.0 - qhat) / n)[:, None].repeat(n, axis=1)
             ev[np.arange(rows.size), si] = ((n - 1) * qhat + 1.0) / n
             w = rows_b[rows] * ev
-            s = w.sum(axis=1)
+            s = np.add.reduce(w, axis=1)
             bad = s < DEGENERATE_MASS
             if bad.any():
-                degenerate += np.bincount(rows[bad] // k, minlength=r_count)
+                degenerate += np.bincount(runs[bad], minlength=r_count)
                 s = np.where(bad, 1.0, s)
             w /= s[:, None]
             w[bad] = 1.0 / n
@@ -278,10 +280,18 @@ def _sim_step(b: np.ndarray, bet: np.ndarray, params: SimParams,
 def _metrics_from_array(b: np.ndarray, model: str) -> np.ndarray:
     """The METRICS[model] columns of each population of a (R, k, n) array,
     as an (R, m) array."""
+    r_count, k, n = b.shape
+    out = np.empty((r_count, len(METRICS[model])))
+    # agent means as ndarray.mean takes them: a sum, then one division
+    np.add.reduce(b[:, :, -1], axis=1, out=out[:, 0])
     if model == POSSIBILISTIC:
-        return np.stack([b[:, :, -1].mean(axis=1),
-                         (1.0 - b[:, :, :-1].max(axis=2)).mean(axis=1)], axis=1)
-    return b[:, :, -1].mean(axis=1)[:, None]
+        # max is exact, so a running max over the columns equals max(axis=2)
+        top = b[:, :, 0].copy()
+        for s in range(1, n - 1):
+            np.maximum(top, b[:, :, s], out=top)
+        np.add.reduce(np.subtract(1.0, top, out=top), axis=1, out=out[:, 1])
+    out /= k
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,11 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+# The cells that _fmt would convert and return unchanged, by exact type:
+# bool and the numpy scalars (np.float64 subclasses float) go through _fmt.
+_CELL_FORMATS = {int: str, float: repr, str: str}
+
+
 def emit_csv(rows: Collection, path, header=AGGREGATE_HEADER) -> None:
     """Write header and rows as CSV, one line per row of cells: aggregate
     records, histogram pairs under HISTOGRAM_HEADER, or trajectory_rows
@@ -342,9 +347,10 @@ def emit_csv(rows: Collection, path, header=AGGREGATE_HEADER) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(",".join(header) + "\n")
+                cell = _CELL_FORMATS.get
                 for row in rows:
-                    fh.write(",".join(c if isinstance(c, str) else _fmt(c)
-                                      for c in row) + "\n")
+                    fh.write(",".join([cell(type(c), _fmt)(c) for c in row])
+                             + "\n")
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -235,20 +235,30 @@ def _frank_values(param: FrankParameter | _FrankRows, x: np.ndarray,
     if frank.branch == "product":
         return lo * hi
     theta = frank.theta
+    neg_theta = -theta
     if frank.branch == "positive":
         # 1 + (e^{-tx}-1)(e^{-ty}-1)/(e^{-t}-1) rewritten as a sum of two
-        # nonnegative products, so the log sees full relative precision
-        s = np.exp(-theta * lo) * (-np.expm1(-theta * (1.0 - lo))) \
-            + np.exp(-theta * hi) * (-np.expm1(-theta * lo))
+        # nonnegative products, so the log sees full relative precision;
+        # both are negated once, as a sum, which rounds the same
+        neg_theta_lo = neg_theta * lo
+        s = np.exp(neg_theta_lo) * np.expm1(neg_theta * (1.0 - lo))
+        s += np.exp(neg_theta * hi) * np.expm1(neg_theta_lo)
         with np.errstate(divide="ignore"):
-            t = (frank.const - np.log(s)) / theta
+            t = (frank.const - np.log(-s)) / theta
     else:
-        # negative theta in log space: e^{phi} terms overflow past phi ~ 709
-        phi = -theta
-        logr = _log_expm1(phi * lo) + _log_expm1(phi * hi) - frank.const
-        t = np.logaddexp(0.0, logr) / phi
-    t = np.clip(t, np.maximum(0.0, lo + hi - 1.0), lo)
-    return np.where(hi == 1.0, lo, t)
+        # negative theta in log space: e^{-theta} terms overflow past
+        # -theta ~ 709
+        logr = _log_expm1(neg_theta * lo) + _log_expm1(neg_theta * hi) \
+            - frank.const
+        t = np.logaddexp(0.0, logr) / neg_theta
+    # clamp into the envelope in place; t is never NaN (an underflowed s
+    # gives +inf, which clamps to lo), so this equals np.clip. A 0-d
+    # input gives a scalar t, which out= cannot take.
+    t = np.asarray(t)
+    np.maximum(t, np.maximum(0.0, lo + hi - 1.0), out=t)
+    np.minimum(t, lo, out=t)
+    np.copyto(t, lo, where=hi == 1.0)
+    return t
 
 
 def frank_tnorm(param: FrankParameter, x: float, y: float) -> float:
@@ -292,10 +302,11 @@ def _fuse_rows(param: FrankParameter, a: np.ndarray, b: np.ndarray) -> np.ndarra
     off 1 in floating point.
     """
     t = _frank_values(param, a, b)
-    tm = t.max(axis=1)
-    out = t + (1.0 - tm)[:, None]
+    rows = np.arange(t.shape[0])
+    top = t.argmax(axis=1)
+    out = t + (1.0 - t[rows, top])[:, None]
     np.minimum(out, 1.0, out=out)
-    out[np.arange(out.shape[0]), t.argmax(axis=1)] = 1.0
+    out[rows, top] = 1.0
     return out
 
 
@@ -337,15 +348,18 @@ def _pignistic_rows(b: np.ndarray) -> np.ndarray:
     """
     m, n = b.shape
     # flat positions of each row's entries in sorted order
-    order = np.argsort(-b, axis=1, kind="stable")
+    order = (-b).argsort(axis=1, kind="stable")
     order += np.arange(0, m * n, n)[:, None]
-    v = b.ravel()[order]
+    v = b.take(order)
+    # into a second array: an in-place v[:, :-1] -= v[:, 1:] overlaps, so
+    # numpy copies v[:, 1:] first; at 1000 x 20 rows that extra temporary
+    # multiplied the page faults of a step and slowed it
     diffs = np.empty_like(v)
-    diffs[:, :-1] = v[:, :-1] - v[:, 1:]
+    np.subtract(v[:, :-1], v[:, 1:], out=diffs[:, :-1])
     diffs[:, -1] = v[:, -1]
     diffs /= np.arange(1, n + 1)
     p = np.empty(m * n)
-    p[order] = np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
+    p[order] = np.add.accumulate(diffs[:, ::-1], axis=1)[:, ::-1]
     return p.reshape(m, n)
 
 

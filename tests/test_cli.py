@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from possibly import DEFAULT_SEED, POSSIBILISTIC, PROBABILISTIC, preset
+from possibly import DEFAULT_SEED, POSSIBILISTIC, PROBABILISTIC, cli, preset
 from possibly.cli import OUT_ENV_VAR, cmd_example, main, parse_args
 
 THETA_ZERO = ("theta = 0 is not a member of the Frank family; "
@@ -180,6 +180,14 @@ class TestConfigFile:
                             str(tmp_path / "nope.cfg")]) == 2
         assert "--config" in capsys.readouterr().err
 
+    def test_undecodable_file_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"agents = 6\n\xff\n")
+        assert main(["run", "--seed", "1", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config: cannot read {path}: ")
+        assert "0xff" in err and err.count("\n") == 1
+
 
 class TestOutResolution:
     def test_env_var_supplies_out(self, monkeypatch, tmp_path):
@@ -272,6 +280,25 @@ class TestMainEndToEnd:
                      "--steps", "2", "--out", str(blocker)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert blocker.read_text() == "occupied"
+
+    @pytest.mark.parametrize("argv,stub", [
+        (["run"], "collect_trajectories"),
+        (["sweep", "noise", "0.0,0.2"], "sweep"),
+    ], ids=("run", "sweep"))
+    def test_unusable_out_fails_before_simulating(self, tmp_path, capsys,
+                                                  monkeypatch, argv, stub):
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated before checking --out")
+
+        monkeypatch.setattr(cli, stub, simulate)
+        blocker = tmp_path / "blocked"
+        blocker.write_text("occupied")
+        code = main(argv + ["--seed", "3", "--agents", "4", "--states", "3",
+                            "--steps", "2", "--runs", "1", "--out", str(blocker)])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == f"error: [Errno 17] File exists: {str(blocker)!r}\n")
         assert blocker.read_text() == "occupied"
 
     def test_bad_sweep_grid_value_fails_cleanly(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from possibly import (
     ADOPT_BOTH,
@@ -32,6 +33,7 @@ from possibly import (
 )
 from possibly.engine import (
     METRICS,
+    _draw_states_rows,
     _initial_beliefs,
     _metrics_from_array,
     _sim_step,
@@ -491,3 +493,59 @@ class TestModelBehaviour:
                                seed=8))
         assert result[-1].mean_poss_best > 0.9
         assert result[-1].mean_nec_best > result[0].mean_nec_best
+
+
+# ---------------------------------------------------------------------------
+# Rewritten row kernels against their plain numpy expressions
+# ---------------------------------------------------------------------------
+
+def metrics_reference(b, model):
+    """The METRICS columns through max(axis=2), mean and np.stack."""
+    if model == POSSIBILISTIC:
+        return np.stack([b[:, :, -1].mean(axis=1),
+                         (1.0 - b[:, :, :-1].max(axis=2)).mean(axis=1)], axis=1)
+    return b[:, :, -1].mean(axis=1)[:, None]
+
+
+def draw_states_reference(p, u):
+    """The inverse-CDF draw through np.cumsum and np.minimum."""
+    c = np.cumsum(p, axis=1)
+    return np.minimum((u[:, None] > c).sum(axis=1), p.shape[1] - 1)
+
+
+# exact 0s, 1s and quarters (ties, and cumulative sums that a uniform can
+# equal exactly), besides any value in [0, 1]
+degrees = st.one_of(st.sampled_from((0.0, 1.0, 0.25, 0.5, 0.75)),
+                    st.floats(0.0, 1.0))
+
+
+class TestKernelReferences:
+    """_metrics_from_array and _draw_states_rows give their plain forms bit
+    for bit, with ties, exact 0 and 1 entries, n = 2 and one run."""
+
+    @given(st.sampled_from((POSSIBILISTIC, PROBABILISTIC)), st.integers(1, 3),
+           st.integers(2, 40), st.integers(2, 7), st.data())
+    def test_metrics(self, model, r_count, k, n, data):
+        b = data.draw(arrays(np.float64, (r_count, k, n), elements=degrees))
+        got, want = _metrics_from_array(b, model), metrics_reference(b, model)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(st.sampled_from((POSSIBILISTIC, PROBABILISTIC)), st.integers(1, 3),
+           st.integers(100, 300), st.integers(2, 20), st.integers(0, 2 ** 32),
+           st.booleans())
+    def test_metrics_paper_size(self, model, r_count, k, n, seed, coarse):
+        # k above the 8 and 128 element blocks of numpy's pairwise sum
+        b = np.random.default_rng(seed).random((r_count, k, n))
+        if coarse:
+            b = np.round(b, 1)  # many ties and zeros
+        got, want = _metrics_from_array(b, model), metrics_reference(b, model)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(st.integers(1, 30), st.integers(2, 7), st.data())
+    def test_draw_states(self, m, n, data):
+        p = data.draw(arrays(np.float64, (m, n), elements=degrees))
+        p /= np.where(p.sum(axis=1) > 0, p.sum(axis=1), 1.0)[:, None]
+        u = data.draw(arrays(np.float64, m, elements=degrees.filter(
+            lambda v: v < 1.0)))
+        got, want = _draw_states_rows(p, u), draw_states_reference(p, u)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

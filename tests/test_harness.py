@@ -255,6 +255,28 @@ class TestEmitCsv:
         assert str(target) in str(err.value)
         assert not target.exists()
 
+    @pytest.mark.parametrize("cell", [
+        7, -3, np.int64(12), np.int32(-5), True, 0.1, 1 / 3, -0.0, 1e-300, 1e22,
+        np.float64(0.30000000000000004), np.float64(-0.0), np.float32(0.1),
+        "fused_s1",
+    ], ids=repr)
+    def test_cells_format_as_fmt(self, tmp_path, cell):
+        path = tmp_path / "cell.csv"
+        emit_csv([[cell, "m", cell]], path, ("a", "b", "c"))
+        want = cell if isinstance(cell, str) else harness._fmt(cell)
+        assert path.read_text() == f"a,b,c\n{want},m,{want}\n"
+
+    def test_trajectory_bytes_as_fmt(self, tmp_path):
+        trajs = np.random.default_rng(5).random((3, 40, 2))
+        trajs[0, 0] = 0.0, 1.0
+        rows = trajectory_rows(trajs)
+        path = tmp_path / "traj.csv"
+        emit_csv(rows, path, trajectory_header(POSSIBILISTIC))
+        want = "".join(",".join(harness._fmt(c) for c in row) + "\n"
+                       for row in rows)
+        header = ",".join(trajectory_header(POSSIBILISTIC)) + "\n"
+        assert path.read_bytes() == (header + want).encode()
+
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "lf.csv"
         emit_csv([AggregateRecord(x=0.0, metric="m", mean=1.0, p10=1.0, p90=1.0)],

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from possibly import (
     FrankParameter,
@@ -28,8 +29,12 @@ from possibly import (
     vacuous,
 )
 from possibly.possibility import (
+    THETA_MAX,
     THETA_PRODUCT_CUTOFF,
     _frank_values,
+    _FrankRows,
+    _fuse_rows,
+    _log_expm1,
     _pignistic_rows,
 )
 
@@ -446,3 +451,119 @@ class TestPignisticRows:
             b = np.round(b, 1)  # many ties and zeros
         b[np.arange(m), rng.integers(n, size=m)] = 1.0
         assert np.array_equal(_pignistic_rows(b), pignistic_rows_along_axis(b))
+
+
+# ---------------------------------------------------------------------------
+# Rewritten row kernels against their plain numpy expressions
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+def frank_values_reference(param, x, y):
+    """The Frank kernel in its plain form: every -theta and product
+    computed where it is used, an np.clip/np.where tail."""
+    frank = param if isinstance(param, _FrankRows) else _FrankRows.of(param)
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    if frank.branch == "min":
+        return lo
+    if frank.branch == "lukasiewicz":
+        return np.maximum(0.0, lo + hi - 1.0)
+    if frank.branch == "product":
+        return lo * hi
+    theta = frank.theta
+    if frank.branch == "positive":
+        s = np.exp(-theta * lo) * (-np.expm1(-theta * (1.0 - lo))) \
+            + np.exp(-theta * hi) * (-np.expm1(-theta * lo))
+        with np.errstate(divide="ignore"):
+            t = (frank.const - np.log(s)) / theta
+    else:
+        phi = -theta
+        logr = _log_expm1(phi * lo) + _log_expm1(phi * hi) - frank.const
+        t = np.logaddexp(0.0, logr) / phi
+    t = np.clip(t, np.maximum(0.0, lo + hi - 1.0), lo)
+    return np.where(hi == 1.0, lo, t)
+
+
+def fuse_rows_reference(param, a, b):
+    """Normalised fusion with a max reduction beside the argmax."""
+    t = frank_values_reference(param, a, b)
+    tm = t.max(axis=1)
+    out = t + (1.0 - tm)[:, None]
+    np.minimum(out, 1.0, out=out)
+    out[np.arange(out.shape[0]), t.argmax(axis=1)] = 1.0
+    return out
+
+
+BRANCHES = ("min", "lukasiewicz", "product", "positive", "negative")
+BRANCH_THETAS = {
+    "product": st.floats(-THETA_PRODUCT_CUTOFF, THETA_PRODUCT_CUTOFF,
+                         exclude_min=True, exclude_max=True).filter(bool),
+    "positive": st.floats(THETA_PRODUCT_CUTOFF, THETA_MAX),
+    "negative": st.floats(-THETA_MAX, -THETA_PRODUCT_CUTOFF),
+}
+# exact 0s and 1s and repeated values, besides any degree
+degrees = st.one_of(st.sampled_from((0.0, 1.0, 0.5, 0.25)), units)
+
+
+@st.composite
+def frank_params(draw, branch, rows=None):
+    """A FrankParameter of the branch or, given `rows`, a list of one per
+    row of a block, possibly all equal. The product branch draws the limit
+    or a theta below the cutoff."""
+    if branch in ("min", "lukasiewicz") or (branch == "product"
+                                           and draw(st.booleans())):
+        return FrankParameter(limit=branch)
+    if rows is None:
+        return FrankParameter(theta=draw(BRANCH_THETAS[branch]))
+    thetas = draw(st.lists(BRANCH_THETAS[branch], min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        thetas = [thetas[0]] * rows
+    return [FrankParameter(theta=t) for t in thetas]
+
+
+@st.composite
+def frank_blocks(draw):
+    """Two (m, n) blocks of degrees and a FrankParameter or per-row list."""
+    branch = draw(st.sampled_from(BRANCHES))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    x = draw(arrays(np.float64, (m, n), elements=degrees))
+    y = draw(arrays(np.float64, (m, n), elements=degrees))
+    return draw(frank_params(branch, m)), x, y
+
+
+class TestKernelReferences:
+    """_frank_values and _fuse_rows give their plain forms bit for bit, on
+    every Frank branch, with ties, exact 0 and 1 entries, n = 2, m = 1 and
+    scalars."""
+
+    @given(frank_blocks())
+    def test_frank_values_blocks(self, block):
+        param, x, y = block
+        frank = _FrankRows.of(param)
+        assert_same_bits(_frank_values(frank, x, y),
+                         frank_values_reference(frank, x, y))
+
+    @given(st.sampled_from(BRANCHES).flatmap(frank_params), degrees, degrees)
+    def test_frank_values_scalars(self, param, x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        want = frank_values_reference(param, x, y)
+        assert_same_bits(_frank_values(param, x, y), want)
+        assert frank_tnorm(param, float(x), float(y)) == float(want)
+
+    @given(frank_blocks())
+    def test_fuse_rows(self, block):
+        param, a, b = block
+        frank = _FrankRows.of(param)
+        assert_same_bits(_fuse_rows(frank, a, b), fuse_rows_reference(frank, a, b))
+
+    @given(st.sampled_from(BRANCHES).flatmap(frank_params),
+           possibility_dists(), st.data())
+    def test_consistency(self, param, pi1, data):
+        pi2 = data.draw(possibility_dists(min_states=pi1.n, max_states=pi1.n))
+        want = frank_values_reference(param, pi1.as_array(), pi2.as_array())
+        assert consistency(param, pi1, pi2) == float(want.max())
