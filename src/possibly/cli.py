@@ -140,7 +140,8 @@ def _build_parser() -> _Parser:
 
 def _read_config(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark some editors write
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         _fail("--config",

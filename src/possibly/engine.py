@@ -36,6 +36,14 @@ to the beliefs and recomputed only for the rows a step writes: the fused
 pair's adopters and the agents that took evidence. By the same rowwise
 argument the kept rows equal a fresh transform of every row, bit for bit.
 
+The state an agent investigates is an inverse-CDF draw on its betting row:
+the number of the row's first n - 1 cumulative sums that its uniform
+exceeds. _draw_states_rows sweeps the columns with one running sum, which
+adds them in cumsum's order and so has cumsum's bits. Betting entries are
+nonnegative, so the sums never decrease and the uniform exceeds a prefix of
+them; counting the first n - 1 is therefore the same as counting all n and
+capping at n - 1, without an (R*k, n) array of sums.
+
 A batch's metrics are one (R, steps + 1, m) array whose last axis holds the
 METRICS[model] columns, in that order.
 """
@@ -191,10 +199,18 @@ def _draw_pair(rng: np.random.Generator, k: int) -> tuple[int, int]:
 
 
 def _draw_states_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # inverse-CDF draw per row; returns 0-based state columns. add.accumulate
-    # and add.reduce are what cumsum and sum call, minus their wrappers.
-    states = np.add.reduce(u[:, None] > np.add.accumulate(p, axis=1), axis=1)
-    return np.minimum(states, p.shape[1] - 1, out=states)
+    # inverse-CDF draw per row; returns 0-based state columns: how many of
+    # the row's first n - 1 cumulative sums u exceeds, counted as one
+    # running sum adds the columns in cumsum's order. The sums never
+    # decrease, so this is the count over all n capped at n - 1 (see the
+    # module docstring).
+    acc = p[:, 0].copy()
+    states = np.greater(u, acc).astype(np.intp)
+    crossed = np.empty(u.shape, dtype=bool)
+    for j in range(1, p.shape[1] - 1):
+        acc += p[:, j]
+        states += np.greater(u, acc, out=crossed)
+    return states
 
 
 def _sim_step(b: np.ndarray, bet: np.ndarray, params: SimParams,

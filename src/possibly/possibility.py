@@ -159,11 +159,26 @@ def _log1mexp(z: np.ndarray) -> np.ndarray:
         return np.where(z > _LN2, np.log1p(-np.exp(-z)), np.log(-np.expm1(-z)))
 
 
-def _log_expm1(z: np.ndarray) -> np.ndarray:
-    # log(e^z - 1) for z >= 0 without overflow; -inf at z = 0
+def _log_expm1(z: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    # log(e^z - 1) for z >= 0 without overflow; -inf at z = 0. Written over
+    # z when it is an array (the result is returned either way), with work,
+    # an array of z's shape, as scratch.
+    z = np.asarray(z)
+    work = np.empty_like(z) if work is None else work
+    big = z > 1.0
     with np.errstate(divide="ignore"):
-        small = np.log(np.expm1(np.where(z > 1.0, 1.0, z)))
-        return np.where(z > 1.0, z + np.log1p(-np.exp(-z)), small)
+        # z > 1: z + log1p(-e^{-z})
+        np.negative(z, out=work)
+        np.exp(work, out=work)
+        np.negative(work, out=work)
+        np.log1p(work, out=work)
+        work += z
+        # z <= 1: log(expm1(z)), evaluated at min(z, 1) everywhere
+        np.minimum(z, 1.0, out=z)
+        np.expm1(z, out=z)
+        np.log(z, out=z)
+    np.copyto(z, work, where=big)
+    return z
 
 
 def _frank_branch(param: FrankParameter) -> str:
@@ -234,30 +249,52 @@ def _frank_values(param: FrankParameter | _FrankRows, x: np.ndarray,
         return np.maximum(0.0, lo + hi - 1.0)
     if frank.branch == "product":
         return lo * hi
+    # The closed forms work in lo, hi and one result array t, through out=,
+    # and take lo and hi afresh from x and y for the clamp. A 0-d input
+    # gives scalar lo and hi, which out= cannot take, hence asarray.
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    t = np.empty_like(lo)
     theta = frank.theta
     neg_theta = -theta
     if frank.branch == "positive":
         # 1 + (e^{-tx}-1)(e^{-ty}-1)/(e^{-t}-1) rewritten as a sum of two
-        # nonnegative products, so the log sees full relative precision;
-        # both are negated once, as a sum, which rounds the same
-        neg_theta_lo = neg_theta * lo
-        s = np.exp(neg_theta_lo) * np.expm1(neg_theta * (1.0 - lo))
-        s += np.exp(neg_theta * hi) * np.expm1(neg_theta_lo)
+        # nonnegative products, e^{-t lo} (1 - e^{-t (1-lo)}) and
+        # e^{-t hi} (1 - e^{-t lo}), so the log sees full relative
+        # precision; both are negated once, as a sum, which rounds the same
+        np.subtract(1.0, lo, out=t)
+        np.multiply(neg_theta, t, out=t)
+        np.expm1(t, out=t)                    # e^{-theta (1-lo)} - 1
+        np.multiply(neg_theta, lo, out=lo)
+        t *= np.exp(lo, out=hi)               # times e^{-theta lo}
+        np.expm1(lo, out=lo)                  # e^{-theta lo} - 1
+        np.multiply(neg_theta, np.maximum(x, y, out=hi), out=hi)
+        np.exp(hi, out=hi)                    # e^{-theta hi}
+        hi *= lo
+        t += hi
+        np.negative(t, out=t)
         with np.errstate(divide="ignore"):
-            t = (frank.const - np.log(-s)) / theta
+            np.log(t, out=t)
+        np.subtract(frank.const, t, out=t)
+        t /= theta
     else:
         # negative theta in log space: e^{-theta} terms overflow past
         # -theta ~ 709
-        logr = _log_expm1(neg_theta * lo) + _log_expm1(neg_theta * hi) \
-            - frank.const
-        t = np.logaddexp(0.0, logr) / neg_theta
-    # clamp into the envelope in place; t is never NaN (an underflowed s
-    # gives +inf, which clamps to lo), so this equals np.clip. A 0-d
-    # input gives a scalar t, which out= cannot take.
-    t = np.asarray(t)
-    np.maximum(t, np.maximum(0.0, lo + hi - 1.0), out=t)
+        lo = _log_expm1(np.multiply(neg_theta, lo, out=lo), t)
+        lo += _log_expm1(np.multiply(neg_theta, hi, out=hi), t)
+        lo -= frank.const
+        np.logaddexp(0.0, lo, out=t)
+        t /= neg_theta
+    # clamp into the envelope [max(0, lo + hi - 1), lo] in place; t is
+    # never NaN (an underflowed sum gives +inf, which clamps to lo), so
+    # this equals np.clip
+    np.minimum(x, y, out=lo)
+    np.maximum(x, y, out=hi)
+    one = hi == 1.0
+    hi += lo
+    hi -= 1.0
+    np.maximum(t, np.maximum(0.0, hi, out=hi), out=t)
     np.minimum(t, lo, out=t)
-    np.copyto(t, lo, where=hi == 1.0)
+    np.copyto(t, lo, where=one)
     return t
 
 
@@ -304,10 +341,10 @@ def _fuse_rows(param: FrankParameter, a: np.ndarray, b: np.ndarray) -> np.ndarra
     t = _frank_values(param, a, b)
     rows = np.arange(t.shape[0])
     top = t.argmax(axis=1)
-    out = t + (1.0 - t[rows, top])[:, None]
-    np.minimum(out, 1.0, out=out)
-    out[rows, top] = 1.0
-    return out
+    t += (1.0 - t[rows, top])[:, None]
+    np.minimum(t, 1.0, out=t)
+    t[rows, top] = 1.0
+    return t
 
 
 def fuse(param: FrankParameter, pi1: PossibilityDistribution,
@@ -358,9 +395,11 @@ def _pignistic_rows(b: np.ndarray) -> np.ndarray:
     np.subtract(v[:, :-1], v[:, 1:], out=diffs[:, :-1])
     diffs[:, -1] = v[:, -1]
     diffs /= np.arange(1, n + 1)
-    p = np.empty(m * n)
-    p[order] = np.add.accumulate(diffs[:, ::-1], axis=1)[:, ::-1]
-    return p.reshape(m, n)
+    # the suffix sums go into v, free after the subtract, and are scattered
+    # back to state order into diffs, free after the sums
+    np.add.accumulate(diffs[:, ::-1], axis=1, out=v[:, ::-1])
+    diffs.reshape(-1)[order] = v
+    return diffs
 
 
 def pignistic(pi: PossibilityDistribution) -> ProbabilityDistribution:

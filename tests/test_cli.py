@@ -180,6 +180,12 @@ class TestConfigFile:
                             str(tmp_path / "nope.cfg")]) == 2
         assert "--config" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfagents = 6\n")
+        assert parse_args(["run", "--seed", "1",
+                           "--config", str(path)]).params.agents == 6
+
     def test_undecodable_file_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"agents = 6\n\xff\n")

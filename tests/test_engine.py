@@ -549,3 +549,21 @@ class TestKernelReferences:
             lambda v: v < 1.0)))
         got, want = _draw_states_rows(p, u), draw_states_reference(p, u)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @given(st.integers(100, 2000), st.integers(2, 24), st.integers(0, 2 ** 32),
+           st.booleans())
+    def test_draw_states_paper_size(self, m, n, seed, coarse):
+        rng = np.random.default_rng(seed)
+        rows = np.arange(m)
+        p = rng.random((m, n))
+        if coarse:
+            p = np.round(p, 1)  # zeros: flat stretches of the cumsums
+            p[rows, rng.integers(n, size=m)] = 1.0
+        p /= p.sum(axis=1)[:, None]
+        u = rng.random(m)
+        if coarse:
+            # half the uniforms equal one of their row's cumulative sums
+            hit = rng.random(m) < 0.5
+            u[hit] = np.cumsum(p, axis=1)[rows, rng.integers(n, size=m)][hit]
+        got, want = _draw_states_rows(p, u), draw_states_reference(p, u)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

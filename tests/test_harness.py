@@ -255,6 +255,25 @@ class TestEmitCsv:
         assert str(target) in str(err.value)
         assert not target.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_interrupt_leaves_target_untouched(self, tmp_path, existing):
+        target = tmp_path / "out.csv"
+        if existing:
+            target.write_bytes(b"old bytes\n")
+
+        def rows():
+            for i in range(3):
+                yield [i, 0.5]
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            emit_csv(rows(), target, ("a", "b"))
+        if existing:
+            assert target.read_bytes() == b"old bytes\n"
+        else:
+            assert not target.exists()
+        assert list(tmp_path.glob("*.tmp")) == []
+
     @pytest.mark.parametrize("cell", [
         7, -3, np.int64(12), np.int32(-5), True, 0.1, 1 / 3, -0.0, 1e-300, 1e22,
         np.float64(0.30000000000000004), np.float64(-0.0), np.float32(0.1),

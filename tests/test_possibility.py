@@ -34,7 +34,6 @@ from possibly.possibility import (
     _frank_values,
     _FrankRows,
     _fuse_rows,
-    _log_expm1,
     _pignistic_rows,
 )
 
@@ -463,6 +462,14 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes(), (got, want)
 
 
+def log_expm1_reference(z):
+    """log(e^z - 1) in its plain form: both branches evaluated with
+    np.where."""
+    with np.errstate(divide="ignore"):
+        small = np.log(np.expm1(np.where(z > 1.0, 1.0, z)))
+        return np.where(z > 1.0, z + np.log1p(-np.exp(-z)), small)
+
+
 def frank_values_reference(param, x, y):
     """The Frank kernel in its plain form: every -theta and product
     computed where it is used, an np.clip/np.where tail."""
@@ -483,7 +490,8 @@ def frank_values_reference(param, x, y):
             t = (frank.const - np.log(s)) / theta
     else:
         phi = -theta
-        logr = _log_expm1(phi * lo) + _log_expm1(phi * hi) - frank.const
+        logr = log_expm1_reference(phi * lo) + log_expm1_reference(phi * hi) \
+            - frank.const
         t = np.logaddexp(0.0, logr) / phi
     t = np.clip(t, np.maximum(0.0, lo + hi - 1.0), lo)
     return np.where(hi == 1.0, lo, t)
@@ -567,3 +575,61 @@ class TestKernelReferences:
         pi2 = data.draw(possibility_dists(min_states=pi1.n, max_states=pi1.n))
         want = frank_values_reference(param, pi1.as_array(), pi2.as_array())
         assert consistency(param, pi1, pi2) == float(want.max())
+
+
+def wide_thetas(rng, branch, rows):
+    """A FrankParameter of the branch or, given `rows`, one per row; finite
+    thetas are log-uniform over the branch's range, and the product branch
+    draws the limit or thetas below the cutoff."""
+    if branch in ("min", "lukasiewicz") or (branch == "product"
+                                           and rng.random() < 0.5):
+        return FrankParameter(limit=branch)
+    if branch == "product":
+        thetas = 0.99 * THETA_PRODUCT_CUTOFF * rng.uniform(-1.0, 1.0, rows or 1)
+    else:
+        thetas = np.clip(10.0 ** rng.uniform(np.log10(THETA_PRODUCT_CUTOFF),
+                                             np.log10(THETA_MAX), rows or 1),
+                         THETA_PRODUCT_CUTOFF, THETA_MAX)
+        if branch == "negative":
+            thetas = -thetas
+    if rows is None:
+        return FrankParameter(theta=float(thetas[0]))
+    return [FrankParameter(theta=float(t)) for t in thetas]
+
+
+def wide_rows(rng, m, n, coarse):
+    """An (m, n) block of possibility rows: random degrees, one entry per
+    row set to 1; rounded to one decimal when coarse, for ties and exact
+    0s and 1s."""
+    b = rng.random((m, n))
+    if coarse:
+        b = np.round(b, 1)
+    b[np.arange(m), rng.integers(n, size=m)] = 1.0
+    return b
+
+
+class TestWideRows:
+    """The rewritten kernels against their references at paper sizes, with
+    rows long enough to run numpy's vector loops and not only their tails:
+    every Frank branch, one theta or one per row, ties and exact 0s and
+    1s."""
+
+    @given(st.sampled_from(BRANCHES), st.integers(100, 2000),
+           st.integers(2, 24), st.integers(0, 2 ** 32), st.booleans(),
+           st.booleans())
+    def test_frank_values_and_fuse_rows(self, branch, m, n, seed, coarse,
+                                        per_row):
+        rng = np.random.default_rng(seed)
+        frank = _FrankRows.of(wide_thetas(rng, branch, m if per_row else None))
+        a, b = wide_rows(rng, m, n, coarse), wide_rows(rng, m, n, coarse)
+        if frank.branch == "negative":
+            assert_same_bits(frank.const, log_expm1_reference(-frank.theta))
+        assert_same_bits(_frank_values(frank, a, b),
+                         frank_values_reference(frank, a, b))
+        assert_same_bits(_fuse_rows(frank, a, b), fuse_rows_reference(frank, a, b))
+
+    @given(st.integers(100, 2000), st.integers(2, 24), st.integers(0, 2 ** 32),
+           st.booleans())
+    def test_pignistic_rows(self, m, n, seed, coarse):
+        b = wide_rows(np.random.default_rng(seed), m, n, coarse)
+        assert_same_bits(_pignistic_rows(b), pignistic_rows_along_axis(b))
