@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -98,6 +99,14 @@ class CliConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token as an argument, not an unknown option, when
+        # this matches it. No option here starts with a digit, so a minus
+        # before a digit or a point and a digit begins a number: a grid such
+        # as -1,1 or -1e-3,1, or a value such as --theta -1e-3.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # one-line diagnostics instead of usage dumps
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)

@@ -30,11 +30,12 @@ while each draws from its own stream on the schedule above. Every row
 kernel does elementwise or rowwise arithmetic only, so a run's metrics are
 bit-identical whichever batch it is in; run() is the batch of one.
 
-Each agent's betting row (the pignistic transform of its possibility
-distribution; in the probabilistic model the belief itself) is kept next
-to the beliefs and recomputed only for the rows a step writes: the fused
-pair's adopters and the agents that took evidence. By the same rowwise
-argument the kept rows equal a fresh transform of every row, bit for bit.
+Only the agents that take evidence read the state they investigate, so
+_sim_step computes betting rows (the pignistic transform of a possibility
+distribution; in the probabilistic model the belief itself) and draws
+states for those agents alone, from their beliefs after the pair fusion.
+Both kernels are rowwise and every agent's uniform is still drawn, so each
+of them gets the state, bit for bit, that a draw for every agent gives it.
 
 The state an agent investigates is an inverse-CDF draw on its betting row:
 the number of the row's first n - 1 cumulative sums that its uniform
@@ -42,7 +43,7 @@ exceeds. _draw_states_rows sweeps the columns with one running sum, which
 adds them in cumsum's order and so has cumsum's bits. Betting entries are
 nonnegative, so the sums never decrease and the uniform exceeds a prefix of
 them; counting the first n - 1 is therefore the same as counting all n and
-capping at n - 1, without an (R*k, n) array of sums.
+capping at n - 1, without an array of all the sums.
 
 A batch's metrics are one (R, steps + 1, m) array whose last axis holds the
 METRICS[model] columns, in that order.
@@ -213,17 +214,15 @@ def _draw_states_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return states
 
 
-def _sim_step(b: np.ndarray, bet: np.ndarray, params: SimParams,
-              qualities: np.ndarray, rho: np.ndarray, sigma: np.ndarray,
-              theta: _FrankRows,
+def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
+              rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
               rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Advance R same-shape populations, a (R, k, n) array, one step in
-    place. bet holds each agent's betting row, updated in place wherever a
-    belief is written: the pignistic rows of b, or b itself in the
-    probabilistic model. params gives the shared shape; rho, sigma, theta
-    (an (R, 1) column, or a scalar when all runs share it) and rngs hold
-    one entry per run. Returns each run's number of degenerate product
-    fusions."""
+    place. params gives the shared shape; rho, sigma, theta (an (R, 1)
+    column, or a scalar when all runs share it) and rngs hold one entry
+    per run. Betting rows and states are computed for the agents that take
+    evidence alone (see the module docstring). Returns each run's number of
+    degenerate product fusions."""
     r_count, k, n = b.shape
     possibilistic = params.model == POSSIBILISTIC
     degenerate = np.zeros(r_count, dtype=np.int64)
@@ -247,7 +246,6 @@ def _sim_step(b: np.ndarray, bet: np.ndarray, params: SimParams,
         bi, bj = b[run_rows, pairs[:, 0]], b[run_rows, pairs[:, 1]]
         if possibilistic:
             fused = _fuse_rows(theta, bi, bj)
-            fused_bet = _pignistic_rows(fused)
         else:
             fused = bi * bj
             s = np.add.reduce(fused, axis=1)
@@ -259,37 +257,33 @@ def _sim_step(b: np.ndarray, bet: np.ndarray, params: SimParams,
                     pairs[:, :2] if params.fusion_adoption == ADOPT_BOTH
                     else pairs[:, 2:])
         b[adopters] = fused[:, None]
-        if possibilistic:
-            bet[adopters] = fused_bet[:, None]
 
-    # the R populations as R*k agent rows (views, so writes land in b, bet)
+    # the R populations as R*k agent rows (a view, so writes land in b)
     rows_b = b.reshape(r_count * k, n)
-    rows_bet = bet.reshape(r_count * k, n)
-    states = _draw_states_rows(rows_bet, u_state.reshape(-1))
     rows = (u_succ < rho[:, None]).ravel().nonzero()[0]
     if rows.size:
         runs = rows // k  # the run of each row that took evidence
-        si = states[rows]
+        x = rows_b[rows]
+        si = _draw_states_rows(_pignistic_rows(x) if possibilistic else x,
+                               u_state.reshape(-1)[rows])
         qhat = qualities[si] + sigma[runs] * eps.reshape(-1)[rows]
         np.minimum(np.maximum(qhat, 0.0, out=qhat), 1.0, out=qhat)
         if possibilistic:
             ev = (1.0 - qhat)[:, None].repeat(n, axis=1)
             ev[np.arange(rows.size), si] = 1.0
-            fused = _fuse_rows(theta.take(runs), rows_b[rows], ev)
-            rows_b[rows] = fused
-            rows_bet[rows] = _pignistic_rows(fused)
+            rows_b[rows] = _fuse_rows(theta.take(runs), x, ev)
         else:
             ev = ((1.0 - qhat) / n)[:, None].repeat(n, axis=1)
             ev[np.arange(rows.size), si] = ((n - 1) * qhat + 1.0) / n
-            w = rows_b[rows] * ev
-            s = np.add.reduce(w, axis=1)
+            x *= ev
+            s = np.add.reduce(x, axis=1)
             bad = s < DEGENERATE_MASS
             if bad.any():
                 degenerate += np.bincount(runs[bad], minlength=r_count)
                 s = np.where(bad, 1.0, s)
-            w /= s[:, None]
-            w[bad] = 1.0 / n
-            rows_b[rows] = w
+            x /= s[:, None]
+            x[bad] = 1.0 / n
+            rows_b[rows] = x
     return degenerate
 
 
@@ -334,6 +328,11 @@ def run_batch(runs: Sequence[SimParams],
     equals run(runs[i]) exactly. With final_only the metrics are (R, 1, m),
     the last step's alone, and no earlier step's are computed.
     """
+    # Freeing one untouched 4 MiB block lifts glibc's dynamic mmap and trim
+    # thresholds above a step's temporaries (mallopt(3)), so the heap top is
+    # not given back and refaulted every step; it is never resident, and
+    # other allocators ignore it.
+    np.empty(1 << 19)
     runs = tuple(runs)
     if not runs:
         raise ValueError("need at least one run")
@@ -349,16 +348,13 @@ def run_batch(runs: Sequence[SimParams],
     theta = _FrankRows.of([p.theta for p in runs])
     qualities = np.asarray(EnvironmentSpec.default(shape.states).qualities)
     b = _initial_beliefs(shape, len(runs))
-    bet = b
-    if shape.model == POSSIBILISTIC:
-        bet = _pignistic_rows(b.reshape(-1, shape.states)).reshape(b.shape)
     metrics = np.empty((len(runs), 1 if final_only else shape.steps + 1,
                         len(METRICS[shape.model])))
     degenerate = np.zeros(len(runs), dtype=np.int64)
     for t in range(shape.steps + 1):
         if t:
-            degenerate += _sim_step(b, bet, shape, qualities, rho, sigma,
-                                    theta, rngs)
+            degenerate += _sim_step(b, shape, qualities, rho, sigma, theta,
+                                    rngs)
         if not final_only or t == shape.steps:
             metrics[:, -1 if final_only else t] = _metrics_from_array(b, shape.model)
     return metrics, degenerate

@@ -101,6 +101,9 @@ class TestParseArgs:
         cfg = parse_args(["sweep", "agents", "5,10", "--seed", "1"])
         assert cfg.sweep_grid == (5, 10)
         assert all(isinstance(v, int) for v in cfg.sweep_grid)
+        # a grid that starts with a minus is the grid, not an unknown option
+        cfg = parse_args(["sweep", "theta", "-1e-3,1", "--seed", "1"])
+        assert cfg.sweep_grid == (-1e-3, 1.0)
 
     def test_sweep_grid_errors(self, capsys):
         assert parse_error(["sweep", "noise", "0.1,abc", "--seed", "1"]) == 2
@@ -306,6 +309,18 @@ class TestMainEndToEnd:
         assert (capsys.readouterr().err
                 == f"error: [Errno 17] File exists: {str(blocker)!r}\n")
         assert blocker.read_text() == "occupied"
+
+    def test_sweep_grid_starting_with_a_minus(self, tmp_path, capsys):
+        code = main(["sweep", "theta", "-1,1", "--seed", "1", "--agents", "4",
+                     "--states", "3", "--steps", "2", "--runs", "1",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "sweep_theta.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["-1.0"] * 2 + ["1.0"] * 2
+        code = main(["sweep", "noise", "-0.1,0.2", "--seed", "1",
+                     "--out", str(tmp_path / "noise")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: grid: sigma must be finite and >= 0\n"
 
     def test_bad_sweep_grid_value_fails_cleanly(self, tmp_path, capsys):
         code = main(["sweep", "theta", "0.5,0", "--seed", "3", "--agents", "4",
