@@ -13,6 +13,7 @@ import math
 import os
 import re
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, replace
 
 from .engine import (
@@ -391,7 +392,9 @@ def main(argv=None) -> int:
         return _cmd_preset(cfg)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BrokenExecutor) as exc:
+        # a pool worker that dies breaks the pool before its part's CSV is
+        # written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,7 @@ into extra ignorance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -209,7 +210,7 @@ class _FrankRows:
         must all share the first's branch; a scalar for one FrankParameter
         or a sequence of equal ones, which broadcasts at less cost."""
         if isinstance(params, FrankParameter):
-            params = (params,)
+            return _frank_rows_of_one(params)
         branch = _frank_branch(params[0])
         if branch not in ("positive", "negative"):
             return cls(branch)
@@ -227,6 +228,18 @@ class _FrankRows:
         if self.theta is None or self.theta.ndim == 0:
             return self
         return _FrankRows(self.branch, self.theta[rows], self.const[rows])
+
+
+@functools.lru_cache(maxsize=256)
+def _frank_rows_of_one(param: FrankParameter) -> _FrankRows:
+    # a FrankParameter is frozen and hashable, so the scalar calls
+    # (frank_tnorm, fuse) build its constant once; every caller shares the
+    # arrays, which are therefore read-only
+    frank = _FrankRows.of((param,))
+    for array in (frank.theta, frank.const):
+        if array is not None:
+            array.flags.writeable = False
+    return frank
 
 
 def _frank_values(param: FrankParameter | _FrankRows, x: np.ndarray,

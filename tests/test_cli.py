@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from possibly import DEFAULT_SEED, POSSIBILISTIC, PROBABILISTIC, cli, preset
+from possibly import DEFAULT_SEED, POSSIBILISTIC, PROBABILISTIC, cli, harness, preset
 from possibly.cli import OUT_ENV_VAR, cmd_example, main, parse_args
 
 THETA_ZERO = ("theta = 0 is not a member of the Frank family; "
@@ -309,6 +309,24 @@ class TestMainEndToEnd:
         assert (capsys.readouterr().err
                 == f"error: [Errno 17] File exists: {str(blocker)!r}\n")
         assert blocker.read_text() == "occupied"
+
+    def test_dead_pool_worker_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # fig3's points run on a pool of 2 processes; the first point to
+        # start ends its process, which breaks the pool
+        parent = os.getpid()
+
+        def die(*args, **kwargs):
+            assert os.getpid() != parent, "the point ran in the test process"
+            os._exit(1)
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "reversal_probability", die)
+        code = main(["preset", "fig3", "--workers", "2", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_grid_starting_with_a_minus(self, tmp_path, capsys):
         code = main(["sweep", "theta", "-1,1", "--seed", "1", "--agents", "4",

@@ -14,6 +14,7 @@ from possibly import (
     reversal_probability,
     sample_quality,
 )
+from possibly.environment import _BLOCK
 
 
 class TestEnvironmentSpec:
@@ -125,7 +126,30 @@ class TestEvidence:
         assert ev.values[0] >= max(ev.values[1:])
 
 
+def reversal_reference(env, sigma, i, j, samples, rng):
+    """The two-array estimator: every clamped observation of i, then every
+    one of j, compared at once."""
+    qi = np.clip(env.qualities[i - 1] + sigma * rng.standard_normal(samples), 0.0, 1.0)
+    qj = np.clip(env.qualities[j - 1] + sigma * rng.standard_normal(samples), 0.0, 1.0)
+    return float(np.count_nonzero(qi < qj) / samples)
+
+
 class TestReversalProbability:
+    @given(samples=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]),
+           sigma=st.sampled_from([0.0, 1e-300, 0.3, 5.0, 1e6]),
+           pair=st.sampled_from([(5, 4), (2, 3), (1, 5)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocks_equal_the_two_array_reference(self, samples, sigma, pair, seed):
+        env = EnvironmentSpec.default(5)
+        for i, j in (pair, pair[::-1]):
+            rng = np.random.Generator(np.random.Philox(seed))
+            ref_rng = np.random.Generator(np.random.Philox(seed))
+            p = reversal_probability(env, NoiseSpec(sigma=sigma), i, j, samples, rng)
+            ref = reversal_reference(env, sigma, i, j, samples, ref_rng)
+            assert p.hex() == ref.hex()
+            # the stream is left where one call of 2 * samples leaves it
+            assert rng.standard_normal() == ref_rng.standard_normal()
+
     def test_noiseless_orders_never_reverse(self):
         env = EnvironmentSpec.default(5)
         rng = np.random.default_rng(0)

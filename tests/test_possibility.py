@@ -576,6 +576,16 @@ class TestKernelReferences:
         want = frank_values_reference(param, pi1.as_array(), pi2.as_array())
         assert consistency(param, pi1, pi2) == float(want.max())
 
+    @pytest.mark.parametrize("theta", [5.0, -5.0])
+    def test_one_parameter_is_built_once_and_read_only(self, theta):
+        # the scalar calls share one cached _FrankRows per parameter, so
+        # nothing may write to its arrays
+        frank = _FrankRows.of(FrankParameter(theta=theta))
+        assert _FrankRows.of(FrankParameter(theta=theta)) is frank
+        assert not frank.theta.flags.writeable
+        assert not frank.const.flags.writeable
+        assert _FrankRows.of([FrankParameter(theta=theta)]) is not frank
+
 
 def wide_thetas(rng, branch, rows):
     """A FrankParameter of the branch or, given `rows`, one per row; finite
