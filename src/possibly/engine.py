@@ -23,6 +23,18 @@ outcomes:
 
 so that changing rho or sigma alone never reorders the remaining stream.
 
+_sim_step keeps that schedule, down to each generator's full state after
+every step, with two Generator calls per run: one random(2k) fill, which
+draws the state and then the success uniforms as two random(k) calls do,
+and standard_normal(k). Each integers(bound) draw is numpy's own algorithm
+replayed in _bounded: Lemire's multiply-shift (x * bound) >> 32 on the next
+32-bit draw x of the bit generator, taken through its ctypes next_uint32
+(the low half of a fresh 64-bit word, the next call its buffered high
+half), and redrawn while the product's low 32 bits fall below
+2**32 % bound. The half-word buffer, a buffered half left for the next
+step, and every rejection are therefore numpy's own; integers(1) (k = 2)
+draws nothing.
+
 Runs that share their shape (every SimParams field except rho, sigma,
 seed and the value of theta within its Frank branch, see lockstep_key)
 advance in lockstep: R of them are one (R, k, n) array, stepped together,
@@ -52,6 +64,7 @@ METRICS[model] columns, in that order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -86,6 +99,8 @@ ADOPT_BOTH = "both"
 ADOPT_RANDOM_ONE = "random-one"
 
 _SEED_MAX = 2 ** 64
+_TWO32 = 1 << 32
+_LOW32 = _TWO32 - 1
 
 # The metric columns of each model: the agent averages of Pi({s_n}) and
 # N({s_n}), or of p(s_n).
@@ -111,6 +126,13 @@ class SimParams:
     fusion_adoption: str = ADOPT_BOTH
 
     def __post_init__(self) -> None:
+        # integers only (numpy ones included), stored as Python ints
+        for name in ("agents", "states", "steps", "seed"):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+            object.__setattr__(self, name, value)
         if self.agents < 2:
             raise ValueError("need at least 2 agents")
         if self.states < 2:
@@ -127,7 +149,7 @@ class SimParams:
             raise ValueError(f"unknown fusion adoption: {self.fusion_adoption!r}")
         if not isinstance(self.theta, FrankParameter):
             raise ValueError("theta must be a FrankParameter")
-        if not 0 <= int(self.seed) < _SEED_MAX:
+        if not 0 <= self.seed < _SEED_MAX:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
@@ -189,14 +211,19 @@ def _initial_beliefs(params: SimParams, runs: int = 1) -> np.ndarray:
     return np.full(shape, 1.0 / params.states)
 
 
-def _draw_pair(rng: np.random.Generator, k: int) -> tuple[int, int]:
-    # uniform over ordered pairs of distinct agents, hence uniform over
-    # unordered pairs; two integer draws
-    i = int(rng.integers(k))
-    j = int(rng.integers(k - 1))
-    if j >= i:
-        j += 1
-    return i, j
+def _bounded(bits: np.random.BitGenerator, bound: int) -> int:
+    """Generator.integers(bound), 1 <= bound <= 2**32, on bits' stream: the
+    same value, and the same 32-bit draws consumed (see the module
+    docstring). Unlike a Generator method it does not take bits.lock, so
+    no other thread may draw from the stream meanwhile."""
+    bound = operator.index(bound)  # exact integer products, whatever type
+    if bound == 1:
+        return 0
+    next_uint32, state = bits.ctypes.next_uint32, bits.ctypes.state
+    m = next_uint32(state) * bound
+    while m & _LOW32 < _TWO32 % bound:
+        m = next_uint32(state) * bound
+    return m >> 32
 
 
 def _draw_states_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -228,21 +255,27 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     degenerate = np.zeros(r_count, dtype=np.int64)
     run_rows = np.arange(r_count)
 
-    # every run's draws for this step, in its stream's order
-    pairs = np.empty((r_count, 3), dtype=np.intp)  # i, j, adopter
-    u_state, u_succ, eps = np.empty((3, r_count, k))
+    # every run's draws for this step, in its stream's order: a pair of
+    # distinct agents, uniform over ordered and hence unordered pairs (j is
+    # shifted past i), with random-one adoption the adopter, then the
+    # uniforms and the normals
+    pairs = []  # i, j, adopter per run
+    random_one = params.fusion_adoption == ADOPT_RANDOM_ONE
+    u = np.empty((r_count, 2, k))  # state, then success uniforms
+    eps = np.empty((r_count, k))
     for r, rng in enumerate(rngs):
         if params.fusion_enabled:
-            i, j = _draw_pair(rng, k)
-            adopter = i
-            if params.fusion_adoption == ADOPT_RANDOM_ONE:
-                adopter = i if int(rng.integers(2)) == 0 else j
-            pairs[r] = i, j, adopter
-        rng.random(out=u_state[r])
-        rng.random(out=u_succ[r])
+            bits = rng.bit_generator
+            i = _bounded(bits, k)
+            j = _bounded(bits, k - 1)
+            j += j >= i
+            pairs.append((i, j, (i, j)[_bounded(bits, 2)] if random_one else i))
+        rng.random(out=u[r])
         rng.standard_normal(out=eps[r])
+    u_state, u_succ = u[:, 0], u[:, 1]
 
     if params.fusion_enabled:
+        pairs = np.array(pairs)
         bi, bj = b[run_rows, pairs[:, 0]], b[run_rows, pairs[:, 1]]
         if possibilistic:
             fused = _fuse_rows(theta, bi, bj)

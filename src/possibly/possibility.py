@@ -160,24 +160,21 @@ def _log1mexp(z: np.ndarray) -> np.ndarray:
         return np.where(z > _LN2, np.log1p(-np.exp(-z)), np.log(-np.expm1(-z)))
 
 
-def _log_expm1(z: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    # log(e^z - 1) for z >= 0 without overflow; -inf at z = 0. Written over
-    # z when it is an array (the result is returned either way), with work,
-    # an array of z's shape, as scratch.
-    z = np.asarray(z)
-    work = np.empty_like(z) if work is None else work
+def _log_expm1(z: np.ndarray, work: np.ndarray) -> np.ndarray:
+    # log(e^z - 1) for z >= 0 without overflow; -inf at z = 0, with a divide
+    # warning that the caller may silence. Written over the array z and
+    # returned, with work, an array of z's shape, for intermediate values.
     big = z > 1.0
-    with np.errstate(divide="ignore"):
-        # z > 1: z + log1p(-e^{-z})
-        np.negative(z, out=work)
-        np.exp(work, out=work)
-        np.negative(work, out=work)
-        np.log1p(work, out=work)
-        work += z
-        # z <= 1: log(expm1(z)), evaluated at min(z, 1) everywhere
-        np.minimum(z, 1.0, out=z)
-        np.expm1(z, out=z)
-        np.log(z, out=z)
+    # z > 1: z + log1p(-e^{-z})
+    np.negative(z, out=work)
+    np.exp(work, out=work)
+    np.negative(work, out=work)
+    np.log1p(work, out=work)
+    work += z
+    # z <= 1: log(expm1(z)), evaluated at min(z, 1) everywhere
+    np.minimum(z, 1.0, out=z)
+    np.expm1(z, out=z)
+    np.log(z, out=z)
     np.copyto(z, work, where=big)
     return z
 
@@ -218,7 +215,10 @@ class _FrankRows:
             theta = np.asarray(params[0].theta, dtype=float)
         else:
             theta = np.array([[p.theta] for p in params])
-        const = _log1mexp(theta) if branch == "positive" else _log_expm1(-theta)
+        if branch == "positive":
+            const = _log1mexp(theta)
+        else:  # -theta >= the cutoff, so no log(0)
+            const = _log_expm1(np.array(-theta), np.empty_like(theta))
         return cls(branch, theta, const)
 
     def take(self, rows: np.ndarray) -> "_FrankRows":
@@ -292,8 +292,9 @@ def _frank_values(param: FrankParameter | _FrankRows, x: np.ndarray,
     else:
         # negative theta in log space: e^{-theta} terms overflow past
         # -theta ~ 709
-        lo = _log_expm1(np.multiply(neg_theta, lo, out=lo), t)
-        lo += _log_expm1(np.multiply(neg_theta, hi, out=hi), t)
+        with np.errstate(divide="ignore"):
+            lo = _log_expm1(np.multiply(neg_theta, lo, out=lo), t)
+            lo += _log_expm1(np.multiply(neg_theta, hi, out=hi), t)
         lo -= frank.const
         np.logaddexp(0.0, lo, out=t)
         t /= neg_theta

@@ -328,6 +328,34 @@ class TestMainEndToEnd:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_interrupted_preset_keeps_finished_parts_only(self, tmp_path,
+                                                          monkeypatch):
+        # fig8 at 2 runs of 5 steps; the second part, the probabilistic
+        # one, is interrupted inside its simulation
+        def small(name, seed):
+            bundle = real_preset(name, seed=seed)
+            return replace(bundle, parts=tuple(
+                replace(part, spec=replace(
+                    part.spec, runs=2, base=replace(part.spec.base, steps=5)))
+                for part in bundle.parts))
+
+        def interrupt(runs, final_only=False):
+            if runs[0].model == PROBABILISTIC:
+                raise KeyboardInterrupt
+            return real_run_batch(runs, final_only)
+
+        real_preset, real_run_batch = harness.preset, harness.run_batch
+        monkeypatch.setattr(harness, "preset", small)
+        first = small("fig8", seed=DEFAULT_SEED).parts[0]
+        harness.run_part(first, tmp_path / "alone")
+        monkeypatch.setattr(harness, "run_batch", interrupt)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["preset", "fig8", "--workers", "1", "--out", str(out)])
+        name = first.stem + ".csv"
+        assert os.listdir(out) == [name]
+        assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
     def test_sweep_grid_starting_with_a_minus(self, tmp_path, capsys):
         code = main(["sweep", "theta", "-1,1", "--seed", "1", "--agents", "4",
                      "--states", "3", "--steps", "2", "--runs", "1",

@@ -1,7 +1,7 @@
 """Simulation engine: parameter validation, the fixed per-step draw
-schedule, determinism, lockstep batching, betting rows computed where the
-draw reads them, numerical edge cases, heap page faults, and population
-metrics.
+schedule, the bounded integer draw, determinism, lockstep batching, betting
+rows computed where the draw reads them, numerical edge cases, heap page
+faults, and population metrics.
 
 The schedule contract tests replicate the engine's documented draw order
 with an identically seeded generator and check the resulting beliefs
@@ -36,6 +36,7 @@ from possibly import (
 )
 from possibly.engine import (
     METRICS,
+    _bounded,
     _draw_states_rows,
     _initial_beliefs,
     _metrics_from_array,
@@ -187,11 +188,18 @@ class TestSimParams:
         dict(agents=1), dict(states=1), dict(rho=-0.1), dict(rho=1.1),
         dict(sigma=-1.0), dict(steps=-1), dict(model="bayesian"),
         dict(fusion_adoption="all"), dict(theta=20.0), dict(seed=-1),
-        dict(seed=2 ** 64), dict(sigma=float("inf")),
+        dict(seed=2 ** 64), dict(sigma=float("inf")), dict(seed=1.5),
+        dict(agents=4.0), dict(states=3.0), dict(steps=2.5), dict(seed="1"),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             params(**bad)
+
+    def test_stores_numpy_integers_as_int(self):
+        p = params(agents=np.int64(100), states=np.int32(5),
+                   steps=np.uint64(3), seed=np.uint64(2 ** 64 - 1))
+        assert (p.agents, p.states, p.steps, p.seed) == (100, 5, 3, 2 ** 64 - 1)
+        assert all(type(v) is int for v in (p.agents, p.states, p.steps, p.seed))
 
     def test_accepts_boundaries(self):
         params(rho=0.0)
@@ -480,22 +488,33 @@ class TestLockstep:
             [metric_rows(run(product)), metric_rows(run(tiny))]
 
 
+def stream_state(rng):
+    """A generator's full bit_generator.state, arrays as lists."""
+    s = rng.bit_generator.state
+    return {**s, "buffer": s["buffer"].tolist(),
+            "state": {name: v.tolist() for name, v in s["state"].items()}}
+
+
 class TestBettingRows:
     """_sim_step, which transforms and draws only for the agents that take
-    evidence, steps populations to the bits of the step that keeps every
-    agent's betting row and draws for all of them."""
+    evidence and draws the pair through _bounded, steps populations to the
+    bits of the step that keeps every agent's betting row, draws for all of
+    them and calls integers itself, and leaves every generator in the same
+    state."""
 
-    @given(k=st.integers(2, 8), n=st.sampled_from((2, 3, 4, 6)),
+    @given(k=st.one_of(st.integers(2, 8), st.just(100)),
+           n=st.sampled_from((2, 3, 4, 6)),
            model=st.sampled_from((POSSIBILISTIC, PROBABILISTIC)),
            fusion=st.booleans(),
            adoption=st.sampled_from((ADOPT_BOTH, ADOPT_RANDOM_ONE)),
            mix=st.lists(st.tuples(rhos, st.floats(0.0, 3.0)),
                         min_size=1, max_size=3),
-           one_hot=st.booleans(), steps=st.integers(1, 8),
-           seed=st.integers(0, 2 ** 32), data=st.data())
+           one_hot=st.booleans(), buffered=st.booleans(),
+           steps=st.integers(1, 8), seed=st.integers(0, 2 ** 32),
+           data=st.data())
     def test_step_equals_the_kept_row_reference(self, k, n, model, fusion,
-                                                adoption, mix, one_hot, steps,
-                                                seed, data):
+                                                adoption, mix, one_hot,
+                                                buffered, steps, seed, data):
         thetas = data.draw(branch_thetas(len(mix)))
         p = SimParams(agents=k, states=n, rho=0.0, sigma=0.0, theta=thetas[0],
                       steps=steps, model=model, seed=seed,
@@ -510,13 +529,49 @@ class TestBettingRows:
         bet = fresh_betting(ref, model)
         rngs = [fresh_rng(seed + r) for r in range(len(mix))]
         ref_rngs = [fresh_rng(seed + r) for r in range(len(mix))]
+        if buffered:  # each stream enters the first step with a half-word
+            for g in rngs + ref_rngs:
+                g.integers(5)
         for _ in range(steps):
             degenerate = step_batch(b, p, rngs, rho, sigma, thetas)
             ref_degenerate = step_batch(ref, p, ref_rngs, rho, sigma, thetas,
                                         bet)
             assert b.tobytes() == ref.tobytes()
             assert degenerate.tolist() == ref_degenerate.tolist()
-            assert [g.random() for g in rngs] == [g.random() for g in ref_rngs]
+            assert [stream_state(g) for g in rngs] \
+                == [stream_state(g) for g in ref_rngs]
+
+
+def words_read(bits):
+    # a Philox stream makes 4 words per counter step and hands out the
+    # block's words from buffer_pos on
+    s = bits.state
+    return 4 * int(s["state"]["counter"][0]) - (4 - s["buffer_pos"])
+
+
+class TestBounded:
+    """_bounded draws what Generator.integers draws, from the same 32-bit
+    draws of the stream."""
+
+    # a draw is redrawn with probability (2**32 % bound) / 2**32: about a
+    # half for 2**31 + 1 and a quarter for 3 * 2**30
+    BOUNDS = (1, 2, 3, 100, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32)
+
+    @pytest.mark.parametrize("kind", (int, np.uint64, np.int64))
+    def test_equals_integers(self, kind):
+        rejections = 0
+        for bound in self.BOUNDS:
+            for seed in range(20):
+                ref, rng = fresh_rng(seed), fresh_rng(seed)
+                # consecutive draws share the generator's half-word buffer
+                for _ in range(50):
+                    assert _bounded(rng.bit_generator, kind(bound)) \
+                        == ref.integers(bound)
+                    assert stream_state(rng) == stream_state(ref)
+                halves = (2 * words_read(rng.bit_generator)
+                          - rng.bit_generator.state["has_uint32"])
+                rejections += halves - (50 if bound > 1 else 0)
+        assert rejections > 1000
 
 
 class TestNumericalEdges:
