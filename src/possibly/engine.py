@@ -49,14 +49,6 @@ states for those agents alone, from their beliefs after the pair fusion.
 Both kernels are rowwise and every agent's uniform is still drawn, so each
 of them gets the state, bit for bit, that a draw for every agent gives it.
 
-The state an agent investigates is an inverse-CDF draw on its betting row:
-the number of the row's first n - 1 cumulative sums that its uniform
-exceeds. _draw_states_rows sweeps the columns with one running sum, which
-adds them in cumsum's order and so has cumsum's bits. Betting entries are
-nonnegative, so the sums never decrease and the uniform exceeds a prefix of
-them; counting the first n - 1 is therefore the same as counting all n and
-capping at n - 1, without an array of all the sums.
-
 A batch's metrics are one (R, steps + 1, m) array whose last axis holds the
 METRICS[model] columns, in that order.
 """
@@ -70,7 +62,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .environment import EnvironmentSpec
+from .environment import EnvironmentSpec, _evidence_rows
 from .possibility import (
     FrankParameter,
     _frank_branch,
@@ -78,7 +70,7 @@ from .possibility import (
     _fuse_rows,
     _pignistic_rows,
 )
-from .probability import DEGENERATE_MASS
+from .probability import _draw_states_rows, _product_rows
 
 __all__ = [
     "METRICS",
@@ -226,21 +218,6 @@ def _bounded(bits: np.random.BitGenerator, bound: int) -> int:
     return m >> 32
 
 
-def _draw_states_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # inverse-CDF draw per row; returns 0-based state columns: how many of
-    # the row's first n - 1 cumulative sums u exceeds, counted as one
-    # running sum adds the columns in cumsum's order. The sums never
-    # decrease, so this is the count over all n capped at n - 1 (see the
-    # module docstring).
-    acc = p[:, 0].copy()
-    states = np.greater(u, acc).astype(np.intp)
-    crossed = np.empty(u.shape, dtype=bool)
-    for j in range(1, p.shape[1] - 1):
-        acc += p[:, j]
-        states += np.greater(u, acc, out=crossed)
-    return states
-
-
 def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
               rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
               rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -280,11 +257,7 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
         if possibilistic:
             fused = _fuse_rows(theta, bi, bj)
         else:
-            fused = bi * bj
-            s = np.add.reduce(fused, axis=1)
-            bad = s < DEGENERATE_MASS
-            fused /= np.where(bad, 1.0, s)[:, None]
-            fused[bad] = 1.0 / n
+            fused, bad = _product_rows(bi, bj)
             degenerate += bad
         adopters = (run_rows[:, None],
                     pairs[:, :2] if params.fusion_adoption == ADOPT_BOTH
@@ -301,22 +274,13 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
                                u_state.reshape(-1)[rows])
         qhat = qualities[si] + sigma[runs] * eps.reshape(-1)[rows]
         np.minimum(np.maximum(qhat, 0.0, out=qhat), 1.0, out=qhat)
+        ev = _evidence_rows(possibilistic, n, si, qhat)
         if possibilistic:
-            ev = (1.0 - qhat)[:, None].repeat(n, axis=1)
-            ev[np.arange(rows.size), si] = 1.0
             rows_b[rows] = _fuse_rows(theta.take(runs), x, ev)
         else:
-            ev = ((1.0 - qhat) / n)[:, None].repeat(n, axis=1)
-            ev[np.arange(rows.size), si] = ((n - 1) * qhat + 1.0) / n
-            x *= ev
-            s = np.add.reduce(x, axis=1)
-            bad = s < DEGENERATE_MASS
+            rows_b[rows], bad = _product_rows(x, ev)
             if bad.any():
                 degenerate += np.bincount(runs[bad], minlength=r_count)
-                s = np.where(bad, 1.0, s)
-            x /= s[:, None]
-            x[bad] = 1.0 / n
-            rows_b[rows] = x
     return degenerate
 
 

@@ -94,15 +94,24 @@ def sample_quality(env: EnvironmentSpec, noise: NoiseSpec, i: int,
     return float(np.clip(env.qualities[i - 1] + noise.sigma * eps, 0.0, 1.0))
 
 
+def _evidence_rows(possibilistic: bool, n: int, si: np.ndarray,
+                   qhat: np.ndarray) -> np.ndarray:
+    """The (m, n) evidence rows of either model for the clamped qualities
+    qhat observed at the 0-based states si (see the functions below)."""
+    off, at = ((1.0 - qhat, 1.0) if possibilistic
+               else ((1.0 - qhat) / n, ((n - 1) * qhat + 1.0) / n))
+    ev = off[:, None].repeat(n, axis=1)
+    ev[np.arange(si.size), si] = at
+    return ev
+
+
 def possibilistic_evidence(n: int, i: int, sampled_quality: float) -> PossibilityDistribution:
     """Evidence for sampling quality q at state i: 1 at s_i, 1 - q elsewhere.
 
     High observed quality pushes every other state toward impossible; a zero
     quality observation is vacuous.
     """
-    _check_evidence_args(n, i, sampled_quality)
-    off = 1.0 - sampled_quality
-    return PossibilityDistribution(tuple(1.0 if j == i else off for j in range(1, n + 1)))
+    return PossibilityDistribution(_checked_evidence_row(True, n, i, sampled_quality))
 
 
 def probabilistic_evidence(n: int, i: int, sampled_quality: float) -> ProbabilityDistribution:
@@ -111,20 +120,17 @@ def probabilistic_evidence(n: int, i: int, sampled_quality: float) -> Probabilit
     The mixture q * onehot(i) + (1 - q) * uniform: p(s_i) = ((n-1) q + 1) / n
     and p(s_j) = (1 - q) / n for j != i.
     """
-    _check_evidence_args(n, i, sampled_quality)
-    q = sampled_quality
-    off = (1.0 - q) / n
-    at = ((n - 1) * q + 1.0) / n
-    return ProbabilityDistribution(tuple(at if j == i else off for j in range(1, n + 1)))
+    return ProbabilityDistribution(_checked_evidence_row(False, n, i, sampled_quality))
 
 
-def _check_evidence_args(n: int, i: int, sampled_quality: float) -> None:
+def _checked_evidence_row(possibilistic: bool, n: int, i: int, q: float) -> list[float]:
     if n < 2:
         raise ValueError("need at least 2 states")
     if not 1 <= i <= n:
         raise ValueError(f"state index {i} outside 1..{n}")
-    if not (0.0 <= sampled_quality <= 1.0):
+    if not (0.0 <= q <= 1.0):
         raise ValueError("sampled quality must lie in [0, 1] (clamp before use)")
+    return _evidence_rows(possibilistic, n, np.array([i - 1]), np.array([q]))[0].tolist()
 
 
 def reversal_probability(env: EnvironmentSpec, noise: NoiseSpec, i: int, j: int,

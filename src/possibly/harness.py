@@ -17,6 +17,7 @@ over the same kind of pool, each point on its own seeded stream.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import tempfile
 from collections.abc import Collection
@@ -127,6 +128,10 @@ class SweepSpec:
         object.__setattr__(self, "grid", tuple(self.grid))
         if len(self.grid) == 0:
             raise ValueError("grid must be nonempty")
+        try:
+            object.__setattr__(self, "runs", operator.index(self.runs))
+        except TypeError:
+            raise ValueError("runs must be an integer") from None
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.capture not in (CAPTURE_FINAL, CAPTURE_TRAJECTORY):

@@ -47,10 +47,10 @@ class ProbabilityDistribution:
         vals = np.asarray([float(v) for v in values], dtype=float)
         if vals.size < 1:
             raise ValueError("need at least 1 state")
-        if (vals < 0.0).any() or (vals > 1.0 + 1e-9).any():
+        if not ((vals >= 0.0) & (vals <= 1.0 + 1e-9)).all():  # NaN fails
             raise ValueError("probabilities must lie in [0, 1]")
         total = float(vals.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         vals = np.minimum(vals / total, 1.0)
         object.__setattr__(self, "values", tuple(vals.tolist()))
@@ -74,6 +74,35 @@ def uniform(n: int) -> ProbabilityDistribution:
     return ProbabilityDistribution((1.0 / n,) * n)
 
 
+def _product_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Product fusion of (m, n) rows in place: a * b renormalised, or uniform
+    where its mass is below DEGENERATE_MASS. Returns a and that row mask."""
+    a *= b
+    s = np.add.reduce(a, axis=1)
+    bad = s < DEGENERATE_MASS
+    if bad.any():
+        s = np.where(bad, 1.0, s)
+    a /= s[:, None]
+    a[bad] = 1.0 / a.shape[1]
+    return a, bad
+
+
+def _draw_states_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row of p: 0-based state columns, each the number
+    of the row's first n - 1 cumulative sums that its uniform in u exceeds.
+    One running sum sweeps the columns in cumsum's order, so with cumsum's
+    bits. Entries are nonnegative, so the sums never decrease and u exceeds
+    a prefix of them: counting the first n - 1 is counting all n capped at
+    n - 1, without an array of all the sums."""
+    acc = p[:, 0].copy()
+    states = np.greater(u, acc).astype(np.intp)
+    crossed = np.empty(u.shape, dtype=bool)
+    for j in range(1, p.shape[1] - 1):
+        acc += p[:, j]
+        states += np.greater(u, acc, out=crossed)
+    return states
+
+
 def product_fuse(p1: ProbabilityDistribution,
                  p2: ProbabilityDistribution) -> ProbabilityDistribution:
     """Pointwise product of two beliefs, renormalised.
@@ -85,13 +114,11 @@ def product_fuse(p1: ProbabilityDistribution,
     """
     if p1.n != p2.n:
         raise ValueError(f"length mismatch: {p1.n} vs {p2.n}")
-    w = p1.as_array() * p2.as_array()
-    s = float(w.sum())
-    if s < DEGENERATE_MASS:
+    w, bad = _product_rows(p1.as_array()[None], p2.as_array()[None])
+    if bad[0]:
         warnings.warn("product fusion of disjoint supports; returning uniform",
                       DegenerateFusionWarning, stacklevel=2)
-        return uniform(p1.n)
-    return ProbabilityDistribution((w / s).tolist())
+    return ProbabilityDistribution(w[0].tolist())
 
 
 def sample_state(p: ProbabilityDistribution, rng: np.random.Generator) -> int:
@@ -99,7 +126,4 @@ def sample_state(p: ProbabilityDistribution, rng: np.random.Generator) -> int:
 
     Inverse-CDF draw consuming exactly one uniform variate from rng.
     """
-    u = rng.random()
-    c = np.cumsum(p.as_array())
-    i = int((u > c).sum())
-    return min(i, p.n - 1) + 1
+    return _draw_states_rows(p.as_array()[None], np.array([rng.random()])).item() + 1

@@ -37,7 +37,6 @@ from possibly import (
 from possibly.engine import (
     METRICS,
     _bounded,
-    _draw_states_rows,
     _initial_beliefs,
     _metrics_from_array,
     _sim_step,
@@ -45,7 +44,7 @@ from possibly.engine import (
     run_batch,
 )
 from possibly.possibility import _FrankRows, _fuse_rows, _pignistic_rows
-from possibly.probability import DEGENERATE_MASS
+from possibly.probability import DEGENERATE_MASS, _draw_states_rows
 
 THETA20 = FrankParameter(theta=20.0)
 # evidence rates, with both endpoints always among the examples

@@ -1,20 +1,24 @@
-"""Best-of-n environment: state qualities, clamped noisy sampling, and the
-two evidence shapes."""
+"""Best-of-n environment: state qualities, clamped noisy sampling, the two
+evidence shapes, and the evidence row kernel and its wrappers against the
+plain expressions they replaced."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from possibly import (
     EnvironmentSpec,
     NoiseSpec,
+    PossibilityDistribution,
+    ProbabilityDistribution,
     possibilistic_evidence,
     probabilistic_evidence,
     reversal_probability,
     sample_quality,
 )
-from possibly.environment import _BLOCK
+from possibly.environment import _BLOCK, _evidence_rows
 
 
 class TestEnvironmentSpec:
@@ -124,6 +128,58 @@ class TestEvidence:
         ev = probabilistic_evidence(n, 1, qhat)
         assert sum(ev.values) == pytest.approx(1.0, abs=1e-12)
         assert ev.values[0] >= max(ev.values[1:])
+
+
+def evidence_rows_reference(possibilistic, n, si, qhat):
+    """The evidence rows as _sim_step wrote them inline."""
+    if possibilistic:
+        ev = (1.0 - qhat)[:, None].repeat(n, axis=1)
+        ev[np.arange(si.size), si] = 1.0
+    else:
+        ev = ((1.0 - qhat) / n)[:, None].repeat(n, axis=1)
+        ev[np.arange(si.size), si] = ((n - 1) * qhat + 1.0) / n
+    return ev
+
+
+def possibilistic_evidence_reference(n, i, q):
+    off = 1.0 - q
+    return PossibilityDistribution(tuple(1.0 if j == i else off
+                                         for j in range(1, n + 1)))
+
+
+def probabilistic_evidence_reference(n, i, q):
+    off = (1.0 - q) / n
+    at = ((n - 1) * q + 1.0) / n
+    return ProbabilityDistribution(tuple(at if j == i else off
+                                         for j in range(1, n + 1)))
+
+
+# clamped observations: exact 0 and 1 (vacuous and one-hot evidence),
+# values next to them and any value in [0, 1]
+observations = st.one_of(
+    st.sampled_from((0.0, 1.0, 5e-324, 1e-300, 1.0 - 2 ** -53, 0.5)),
+    st.floats(0.0, 1.0))
+
+
+class TestEvidenceRows:
+    """_evidence_rows and the two evidence functions that wrap it give the
+    expressions they replaced bit for bit."""
+
+    @given(st.booleans(), st.integers(1, 30), st.integers(2, 20), st.data())
+    def test_equals_the_inline_rows(self, possibilistic, m, n, data):
+        si = data.draw(arrays(np.intp, m, elements=st.integers(0, n - 1)))
+        qhat = data.draw(arrays(np.float64, m, elements=observations))
+        got = _evidence_rows(possibilistic, n, si, qhat)
+        want = evidence_rows_reference(possibilistic, n, si, qhat)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(st.integers(2, 20), st.data(), observations)
+    def test_wrappers_equal_the_scalar_forms(self, n, data, q):
+        i = data.draw(st.integers(1, n))
+        assert (possibilistic_evidence(n, i, q).values
+                == possibilistic_evidence_reference(n, i, q).values)
+        assert (probabilistic_evidence(n, i, q).values
+                == probabilistic_evidence_reference(n, i, q).values)
 
 
 def reversal_reference(env, sigma, i, j, samples, rng):

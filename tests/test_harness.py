@@ -111,6 +111,10 @@ class TestSweepSpec:
     def test_rejects_bad_runs_and_capture(self):
         with pytest.raises(ValueError):
             SweepSpec(base=tiny_params(), runs=0)
+        for runs in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="runs must be an integer"):
+                SweepSpec(base=tiny_params(), runs=runs)
+        assert type(SweepSpec(base=tiny_params(), runs=np.int64(3)).runs) is int
         with pytest.raises(ValueError):
             SweepSpec(base=tiny_params(), capture="sometimes")
 

@@ -1,5 +1,6 @@
 """Probability distributions, renormalised product fusion, and inverse-CDF
-state sampling."""
+state sampling; the product row kernel and the scalar functions that wrap
+the row kernels against the plain expressions they replaced."""
 
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from possibly import (
     DegenerateFusionWarning,
@@ -15,6 +17,7 @@ from possibly import (
     sample_state,
     uniform,
 )
+from possibly.probability import DEGENERATE_MASS, _product_rows
 
 units = st.floats(min_value=0.0, max_value=1.0,
                   allow_nan=False, allow_infinity=False)
@@ -57,6 +60,14 @@ class TestProbabilityDistribution:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ProbabilityDistribution((1.2, -0.2))
+
+    @pytest.mark.parametrize("values", [
+        (float("nan"),), (0.5, float("nan")), (float("nan"), 1.0),
+        (float("inf"),), (1.0, float("-inf")),
+    ])
+    def test_rejects_nan_and_infinity(self, values):
+        with pytest.raises(ValueError):
+            ProbabilityDistribution(values)
 
     def test_sequence_protocol(self):
         p = uniform(3)
@@ -139,3 +150,164 @@ class TestSampleState:
         for _ in range(trials):
             counts[sample_state(p, rng) - 1] += 1
         assert counts / trials == pytest.approx(p.values, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# Row kernels and their wrappers against the expressions they replaced
+# ---------------------------------------------------------------------------
+
+def pair_fusion_reference(a, b):
+    """The pair fusion as _sim_step wrote it inline."""
+    fused = a * b
+    s = np.add.reduce(fused, axis=1)
+    bad = s < DEGENERATE_MASS
+    fused /= np.where(bad, 1.0, s)[:, None]
+    fused[bad] = 1.0 / a.shape[1]
+    return fused, bad
+
+
+def evidence_fusion_reference(x, ev):
+    """The evidence fusion as _sim_step wrote it inline, touching the sums
+    only when some row is degenerate."""
+    x = x * ev
+    s = np.add.reduce(x, axis=1)
+    bad = s < DEGENERATE_MASS
+    if bad.any():
+        s = np.where(bad, 1.0, s)
+    x /= s[:, None]
+    x[bad] = 1.0 / x.shape[1]
+    return x, bad
+
+
+def product_fuse_reference(p1, p2):
+    """product_fuse as a 1-D product, a float sum and its own branch."""
+    w = p1.as_array() * p2.as_array()
+    s = float(w.sum())
+    if s < DEGENERATE_MASS:
+        warnings.warn("reference", DegenerateFusionWarning)
+        return uniform(p1.n)
+    return ProbabilityDistribution((w / s).tolist())
+
+
+def sample_state_reference(p, rng):
+    """sample_state as one uniform against np.cumsum."""
+    u = rng.random()
+    c = np.cumsum(p.as_array())
+    return min(int((u > c).sum()), p.n - 1) + 1
+
+
+# exact 0s and 1s (one-hot rows, disjoint supports), masses whose products
+# fall below DEGENERATE_MASS or stay just above it, and any value in [0, 1]
+masses = st.one_of(
+    st.sampled_from((0.0, 1.0, 0.5, 1e-150, 1e-160, 1e-200, 5e-324)),
+    st.floats(0.0, 1.0))
+
+
+@st.composite
+def mass_rows(draw, m, n):
+    """An (m, n) array of masses; each row may be replaced by a one-hot."""
+    rows = draw(arrays(np.float64, (m, n), elements=masses))
+    for r in range(m):
+        if draw(st.booleans()):
+            rows[r] = 0.0
+            rows[r, draw(st.integers(0, n - 1))] = 1.0
+    return rows
+
+
+def warned(fn, *args):
+    """fn(*args) and whether it emitted a DegenerateFusionWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, any(issubclass(w.category, DegenerateFusionWarning)
+                    for w in caught)
+
+
+class TestProductRows:
+    """_product_rows gives the two inline fusions of _sim_step bit for bit,
+    degenerate mask included, and writes into its first argument."""
+
+    @given(st.integers(1, 30), st.integers(2, 20), st.data())
+    def test_equals_the_inline_fusions(self, m, n, data):
+        a = data.draw(mass_rows(m, n))
+        b = data.draw(mass_rows(m, n))
+        for reference in (pair_fusion_reference, evidence_fusion_reference):
+            want, want_bad = reference(a, b)
+            into = a.copy()
+            got, bad = _product_rows(into, b)
+            assert got is into
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(bad, want_bad)
+
+    @given(st.integers(100, 2000), st.integers(2, 20), st.integers(0, 2 ** 32))
+    def test_equals_the_inline_fusions_paper_size(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.arange(m)
+        a, b = rng.random((2, m, n))
+        # a third of the rows one-hot in both, at independent states: where
+        # they differ the product is 0
+        hot = rng.random(m) < 1 / 3
+        for x in (a, b):
+            x[hot] = 0.0
+            x[rows[hot], rng.integers(n, size=hot.sum())] = 1.0
+        # a sixth with masses near DEGENERATE_MASS, on both sides of it
+        tiny = rng.random(m) < 1 / 6
+        a[tiny] *= 10.0 ** -rng.integers(140, 170, size=(tiny.sum(), 1))
+        b[tiny] *= 10.0 ** -rng.integers(140, 170, size=(tiny.sum(), 1))
+        want, want_bad = pair_fusion_reference(a, b)
+        got, bad = _product_rows(a.copy(), b)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(bad, want_bad)
+        assert bad.any() and not bad.all()
+
+    def test_underflowing_and_disjoint_rows_reset(self):
+        a = np.array([[1e-200, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+        b = np.array([[1e-105, 0.0, 1.0], [0.0, 0.0, 1.0], [0.5, 0.25, 0.25]])
+        got, bad = _product_rows(a, b)
+        assert bad.tolist() == [True, True, False]
+        assert (got[:2] == 1.0 / 3).all()
+        assert got[2].tolist() == [0.25 / 0.375, 0.125 / 0.375, 0.0]
+
+
+@st.composite
+def mass_dists(draw, n):
+    """A ProbabilityDistribution over n states from masses, zeros and
+    one-hots included."""
+    row = draw(mass_rows(1, n))[0]
+    if row.sum() == 0.0:
+        row[0] = 1.0
+    return ProbabilityDistribution((row / row.sum()).tolist())
+
+
+class TestScalarWrappers:
+    """product_fuse and sample_state, now wrappers over the row kernels,
+    give the scalar expressions they replaced bit for bit."""
+
+    @given(st.integers(1, 20), st.data())
+    def test_product_fuse(self, n, data):
+        p1, p2 = data.draw(mass_dists(n)), data.draw(mass_dists(n))
+        got, got_warned = warned(product_fuse, p1, p2)
+        want, want_warned = warned(product_fuse_reference, p1, p2)
+        assert got.values == want.values
+        assert got_warned == want_warned
+
+    @pytest.mark.parametrize("p1, p2", [
+        ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),  # disjoint one-hots
+        ((1e-200, 1.0, 0.0), (1e-105, 0.0, 1.0)),  # underflowing overlap
+    ])
+    def test_product_fuse_degenerate(self, p1, p2):
+        p1, p2 = ProbabilityDistribution(p1), ProbabilityDistribution(p2)
+        got, got_warned = warned(product_fuse, p1, p2)
+        want, want_warned = warned(product_fuse_reference, p1, p2)
+        assert got_warned and want_warned
+        assert got.values == want.values
+
+    @given(st.integers(1, 20), st.integers(0, 2 ** 32), st.data())
+    def test_sample_state(self, n, seed, data):
+        p = data.draw(mass_dists(n))
+        a = np.random.default_rng(seed)
+        b = np.random.default_rng(seed)
+        got = sample_state(p, a)
+        assert type(got) is int and got == sample_state_reference(p, b)
+        # the same single uniform consumed
+        assert a.bit_generator.state == b.bit_generator.state
