@@ -11,7 +11,15 @@ as many contiguous batches as there are workers to share them; a run's
 metrics do not depend on its batch. Runs come back as one
 (runs, steps + 1 or 1, m) array in METRICS[model] column order, and every
 fold and CSV reads that array. The reversal curve spreads its points
-over the same kind of pool, each point on its own seeded stream.
+over the same pool, each point on its own seeded stream.
+
+A process has one worker pool. The first call that needs more than one
+worker forks it, and every later call of that size reuses its processes;
+a call of another size replaces it, and a call that raises closes it, so
+the next call forks a fresh one. Workers are forked, not re-imported, so
+they see this module's state as of the pool's start: a later change to a
+module global reaches them only through a new pool. They are joined when
+the interpreter exits.
 """
 
 from __future__ import annotations
@@ -234,16 +242,38 @@ def _pool_size(workers: int, jobs: int) -> int:
     return min(workers, jobs, os.cpu_count() or 1)
 
 
+# (size, executor) of this process's one worker pool, or None before the
+# first parallel call and after _close_pool
+_POOL = None
+
+
+def _close_pool() -> None:
+    """Shut the shared pool down, dropping the jobs it has not started."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None:
+        pool[1].shutdown(cancel_futures=True)
+
+
 def _pool_map(fn, jobs: list, workers: int) -> list:
-    """fn of every job, in job order: on a pool of _pool_size processes, or
-    in this process when that is one."""
+    """fn of every job, in job order: on the process's pool of _pool_size
+    workers (its lifetime is in the module docstring), or in this process
+    when that is one."""
+    global _POOL
     workers = _pool_size(workers, len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
+    if _POOL is not None and _POOL[0] != workers:
+        _close_pool()
+    if _POOL is None:
+        _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
     # executor.map keeps results in submission order, so worker count can't
     # change what the caller sees
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+    try:
+        return list(_POOL[1].map(fn, jobs))
+    except BaseException:
+        _close_pool()
+        raise
 
 
 def _map_jobs(runs, capture: str, workers: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import hypothesis
+import pytest
 
 # Deterministic property tests: no flaky CI reruns, no example database
 # carry-over between environments.
@@ -10,6 +11,23 @@ hypothesis.settings.register_profile(
     database=None,
 )
 hypothesis.settings.load_profile("suite")
+
+
+@pytest.fixture
+def fresh_pool():
+    """Close harness's shared worker pool before and after the test.
+
+    Pool workers are forked on first use and keep the module state of that
+    moment. A test that patches harness globals or ProcessPoolExecutor and
+    then maps on more than one worker needs a pool started under its
+    patches, and must not leave that pool to later tests.
+    """
+    from possibly import harness
+
+    harness._close_pool()
+    yield
+    harness._close_pool()
+
 
 # criterion number -> (label, passed, detail); filled by test_acceptance.py
 ACCEPTANCE_RESULTS = {}

@@ -311,7 +311,7 @@ class TestMainEndToEnd:
         assert blocker.read_text() == "occupied"
 
     def test_dead_pool_worker_exits_1_and_writes_nothing(self, tmp_path, capsys,
-                                                         monkeypatch):
+                                                         monkeypatch, fresh_pool):
         # fig3's points run on a pool of 2 processes; the first point to
         # start ends its process, which breaks the pool
         parent = os.getpid()

@@ -1,6 +1,11 @@
 """Sweep orchestration, aggregation statistics, presets, and CSV output."""
 
+import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -520,21 +525,18 @@ class TestWorkerCap:
     the size asked for and maps in this process, so no process starts."""
 
     @pytest.fixture
-    def sizes(self, monkeypatch):
+    def sizes(self, monkeypatch, fresh_pool):
         sizes = []
 
         class FakePool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
@@ -565,3 +567,109 @@ class TestWorkerCap:
         run_part(preset("fig3").parts[0], tmp_path, workers)
         size = min(workers, 11, cpus)
         assert sizes == ([size] if size > 1 else [])
+
+
+# Jobs for the shared pool. The pool pickles them by name, and its workers,
+# forked after this module is imported, find them here.
+def _pid(_):
+    return os.getpid()
+
+
+def _square(x):
+    if x < 0:
+        raise ValueError(f"negative job {x}")
+    return x * x
+
+
+def _die(_):
+    os._exit(1)
+
+
+def _workers() -> set:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+class TestSharedPool:
+    """One pool per process: started by the first parallel call, reused by
+    the next one of its size, replaced on a size change, closed by a call
+    that raises."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+
+    def test_consecutive_calls_run_in_the_same_workers(self):
+        first = harness._pool_map(_pid, range(4), 2)
+        workers = _workers()
+        assert len(workers) == 2 and set(first) <= workers
+        second = harness._pool_map(_pid, range(4), 2)
+        assert set(second) <= workers and _workers() == workers
+
+    def test_dead_worker_breaks_one_call_and_the_next_starts_fresh(self):
+        harness._pool_map(_pid, range(4), 2)
+        dead = _workers()
+        with pytest.raises(BrokenExecutor):
+            harness._pool_map(_die, range(4), 2)
+        assert harness._POOL is None
+        after = harness._pool_map(_pid, range(4), 2)
+        assert set(after) <= _workers()
+        assert len(_workers()) == 2 and not _workers() & dead
+
+    def test_job_error_propagates_and_the_next_call_is_right(self):
+        harness._pool_map(_pid, range(4), 2)
+        with pytest.raises(ValueError, match="negative job -2"):
+            harness._pool_map(_square, [1, -2, 3, 4], 2)
+        assert harness._POOL is None
+        assert harness._pool_map(_square, [1, 2, 3, 4], 2) == [1, 4, 9, 16]
+
+    def test_call_of_another_size_replaces_the_pool(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        assert harness._pool_map(_square, [1, 2, 3], 3) == [1, 4, 9]
+        three = _workers()
+        assert len(three) == 3 and harness._POOL[0] == 3
+        assert harness._pool_map(_square, [1, 2], 3) == [1, 4]
+        assert harness._POOL[0] == 2
+        assert len(_workers()) == 2 and not _workers() & three
+
+    def test_one_pool_serves_several_parts_with_serial_bytes(self, tmp_path):
+        parts = (
+            PresetPart(stem="sweep", kind="aggregate", spec=SweepSpec(
+                base=tiny_params(steps=4), param="evidence-rate",
+                grid=(0.2, 0.8), runs=3)),
+            preset("fig3", seed=3).parts[0],
+            PresetPart(stem="trajectory", kind="trajectory", spec=SweepSpec(
+                base=tiny_params(), runs=4, capture="trajectory")),
+        )
+        parallel, pools = [], []
+        for part in parts:
+            parallel.append(run_part(part, tmp_path / "w2", workers=2, seed=3))
+            pools.append(harness._POOL)
+        assert pools[0] is not None and pools.count(pools[0]) == 3
+        for part, p2 in zip(parts, parallel):
+            p1 = run_part(part, tmp_path / "w1", workers=1, seed=3)
+            assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_workers_do_not_outlive_their_process(self):
+        code = textwrap.dedent("""
+            import multiprocessing, os
+            from possibly import harness
+
+            def pid(_):
+                return os.getpid()
+
+            harness.os.cpu_count = lambda: 2
+            ran = harness._pool_map(pid, range(4), 2)
+            workers = sorted(p.pid for p in multiprocessing.active_children())
+            assert len(workers) == 2 and set(ran) <= set(workers), (ran, workers)
+            print(*workers)
+        """)
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        pids = [int(v) for v in done.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
