@@ -13,8 +13,6 @@ from .engine import (
     METRICS,
     POSSIBILISTIC,
     PROBABILISTIC,
-    MetricsRecord,
-    RunResult,
     SimParams,
     run,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "EnvironmentSpec",
     "FrankParameter",
     "METRICS",
-    "MetricsRecord",
     "NoiseSpec",
     "POSSIBILISTIC",
     "PROBABILISTIC",
@@ -89,7 +86,6 @@ __all__ = [
     "Preset",
     "PresetPart",
     "ProbabilityDistribution",
-    "RunResult",
     "SimParams",
     "StateSubset",
     "SweepSpec",

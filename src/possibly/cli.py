@@ -89,12 +89,9 @@ class CliConfig:
     """A fully resolved invocation, ready to dispatch."""
 
     command: str
-    params: SimParams | None = None
-    runs: int = 1
+    spec: SweepSpec | None = None  # the experiment of `run` or `sweep`
     workers: int = 1
     out: str = "."
-    sweep_param: str | None = None
-    sweep_grid: tuple = ()
     preset_name: str | None = None
     seed: int = DEFAULT_SEED
 
@@ -268,17 +265,19 @@ def parse_args(argv=None) -> CliConfig:
 
     if args.command == "run":
         runs = _resolve_count(args, config, "runs", default=1)
-        return CliConfig(command="run", params=params, runs=runs,
-                         workers=workers, out=out, seed=seed)
+        spec = SweepSpec(base=params, runs=runs, capture="trajectory")
+    else:
+        runs = _resolve_count(args, config, "runs", default=DEFAULT_RUNS)
+        grid = _parse_grid(args.param, args.grid)
+        try:
+            spec = SweepSpec(base=params, param=args.param, grid=grid, runs=runs)
+        except ValueError as exc:
+            _fail("grid", str(exc))
+    return CliConfig(command=args.command, spec=spec, workers=workers, out=out,
+                     seed=seed)
 
-    runs = _resolve_count(args, config, "runs", default=DEFAULT_RUNS)
-    grid = _parse_grid(params, args.param, args.grid)
-    return CliConfig(command="sweep", params=params, runs=runs,
-                     workers=workers, out=out, sweep_param=args.param,
-                     sweep_grid=grid, seed=seed)
 
-
-def _parse_grid(base: SimParams, param: str, text: str) -> tuple:
+def _parse_grid(param: str, text: str) -> tuple:
     cast = SWEEP_PARAMS[param][1]
     values = []
     for piece in text.split(","):
@@ -291,11 +290,6 @@ def _parse_grid(base: SimParams, param: str, text: str) -> tuple:
             _fail("grid", f"invalid value {piece!r} for {param}")
     if not values:
         _fail("grid", "needs at least one value")
-    for value in values:
-        try:
-            apply_param(base, param, value)
-        except ValueError as exc:
-            _fail("grid", str(exc))
     return tuple(values)
 
 
@@ -304,26 +298,24 @@ def _parse_grid(base: SimParams, param: str, text: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _cmd_run(cfg: CliConfig) -> int:
+    spec = cfg.spec
     os.makedirs(cfg.out, exist_ok=True)  # fail before simulating
-    spec = SweepSpec(base=cfg.params, runs=cfg.runs, capture="trajectory")
     trajectories = collect_trajectories(spec, cfg.workers)
     path = os.path.join(cfg.out, "run_trajectory.csv")
     emit_csv(trajectory_rows(trajectories), path,
-             trajectory_header(cfg.params.model))
+             trajectory_header(spec.base.model))
     finals = trajectories[:, -1].T.tolist()  # one list of run values per metric
     summary = " ".join(f"{name}={sum(col) / len(col):.4f}"
-                       for name, col in zip(METRICS[cfg.params.model], finals))
+                       for name, col in zip(METRICS[spec.base.model], finals))
     print(f"wrote {path}")
-    print(f"final ({cfg.runs} run{'s' if cfg.runs != 1 else ''}): {summary}")
+    print(f"final ({spec.runs} run{'s' if spec.runs != 1 else ''}): {summary}")
     return 0
 
 
 def _cmd_sweep(cfg: CliConfig) -> int:
-    spec = SweepSpec(base=cfg.params, param=cfg.sweep_param,
-                     grid=cfg.sweep_grid, runs=cfg.runs, capture="final")
     os.makedirs(cfg.out, exist_ok=True)  # fail before simulating
-    records = sweep(spec, cfg.workers)
-    path = os.path.join(cfg.out, f"sweep_{cfg.sweep_param.replace('-', '_')}.csv")
+    records = sweep(cfg.spec, cfg.workers)
+    path = os.path.join(cfg.out, f"sweep_{cfg.spec.param.replace('-', '_')}.csv")
     emit_csv(records, path)
     print(f"wrote {path}")
     return 0
@@ -392,9 +384,9 @@ def main(argv=None) -> int:
         return _cmd_preset(cfg)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError, BrokenExecutor) as exc:
+    except (ValueError, OSError, BrokenExecutor, MemoryError) as exc:
         # a pool worker that dies breaks the pool before its part's CSV is
-        # written
+        # written; numpy's MemoryError names the allocation it could not make
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,7 +50,8 @@ Both kernels are rowwise and every agent's uniform is still drawn, so each
 of them gets the state, bit for bit, that a draw for every agent gives it.
 
 A batch's metrics are one (R, steps + 1, m) array whose last axis holds the
-METRICS[model] columns, in that order.
+METRICS[model] columns, in that order, and its degenerate product fusions
+one (R,) count array; run() returns a batch of one's row of each.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,8 +78,6 @@ __all__ = [
     "POSSIBILISTIC",
     "PROBABILISTIC",
     "SimParams",
-    "MetricsRecord",
-    "RunResult",
     "lockstep_key",
     "run",
     "run_batch",
@@ -143,38 +142,6 @@ class SimParams:
             raise ValueError("theta must be a FrankParameter")
         if not 0 <= self.seed < _SEED_MAX:
             raise ValueError("seed must be a 64-bit unsigned integer")
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """Population aggregates at one step: the model's METRICS columns."""
-
-    step: int
-    mean_poss_best: float | None = None
-    mean_nec_best: float | None = None
-    mean_prob_best: float | None = None
-
-
-@dataclass(frozen=True)
-class RunResult(Sequence):
-    """Metric records for steps 0..steps, plus run diagnostics.
-
-    degenerate_fusions counts product fusions that met disjoint supports and
-    fell back to the uniform distribution.
-    """
-
-    params: SimParams
-    records: tuple[MetricsRecord, ...]
-    degenerate_fusions: int = 0
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-    def __iter__(self) -> Iterator[MetricsRecord]:
-        return iter(self.records)
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +272,11 @@ def _metrics_from_array(b: np.ndarray, model: str) -> np.ndarray:
 # public operations
 # ---------------------------------------------------------------------------
 
-def run(params: SimParams) -> RunResult:
-    """Execute a full run: init, `steps` steps, one MetricsRecord per step
-    plus one at step 0. Identical params give identical results."""
+def run(params: SimParams) -> tuple[np.ndarray, int]:
+    """The batch of one: run_batch([params])'s metrics row, a
+    (steps + 1, m) array, and its degenerate fusion count."""
     metrics, degenerate = run_batch([params])
-    names = METRICS[params.model]
-    records = tuple(MetricsRecord(step=t, **dict(zip(names, row)))
-                    for t, row in enumerate(metrics[0].tolist()))
-    return RunResult(params=params, records=records,
-                     degenerate_fusions=int(degenerate[0]))
+    return metrics[0], int(degenerate[0])
 
 
 def run_batch(runs: Sequence[SimParams],

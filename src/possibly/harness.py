@@ -1,5 +1,9 @@
 """Experiment orchestration: sweeps, aggregation, presets, and CSV output.
 
+An experiment is one SweepSpec: a base SimParams, an optional swept
+parameter and its grid, and the runs per grid point. Presets and the CLI's
+run and sweep commands each build one and hand it to the functions here.
+
 A sweep runs one simulation per (grid value, run index) pair. Per-run seeds
 are derived by folding (grid index, run index) into the base seed through
 SeedSequence spawn keys, so a sweep is reproducible from a single integer
@@ -111,7 +115,12 @@ def apply_param(base: SimParams, param: str | None, value) -> SimParams:
             f"unknown sweep parameter {param!r}; "
             f"choose from {', '.join(sorted(SWEEP_PARAMS))}")
     field, cast = SWEEP_PARAMS[param]
-    value = cast(value)
+    # integers go uncast, so SimParams rejects 2.5 as it rejects agents=2.5
+    if cast is float:
+        try:
+            value = float(value)
+        except TypeError:
+            raise ValueError(f"{param} must be a number, not {value!r}") from None
     if field == "theta":
         value = FrankParameter(theta=value)
     return replace(base, **{field: value})

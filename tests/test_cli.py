@@ -42,7 +42,7 @@ def parse_error(argv) -> int:
 class TestParseArgs:
     def test_run_defaults_match_documented_configuration(self):
         cfg = parse_args(["run", "--seed", "42"])
-        p = cfg.params
+        p = cfg.spec.base
         assert cfg.command == "run"
         assert (p.agents, p.states) == (100, 5)
         assert (p.rho, p.sigma) == (0.05, 0.0)
@@ -50,7 +50,8 @@ class TestParseArgs:
         assert p.steps == 1500
         assert p.model == POSSIBILISTIC
         assert p.fusion_enabled and p.seed == 42
-        assert cfg.runs == 1 and cfg.workers == 1 and cfg.out == "."
+        assert cfg.spec.runs == 1 and cfg.workers == 1 and cfg.out == "."
+        assert cfg.spec.param is None and cfg.spec.capture == "trajectory"
         assert p == replace(preset("fig4a").parts[0].spec.base, seed=42)
 
     def test_flags_override_defaults(self):
@@ -58,11 +59,11 @@ class TestParseArgs:
                           "--evidence-rate", "0.5", "--noise", "0.3",
                           "--theta", "5", "--steps", "10", "--model",
                           PROBABILISTIC, "--fusion", "off", "--runs", "4"])
-        p = cfg.params
+        p = cfg.spec.base
         assert (p.agents, p.states, p.rho, p.sigma) == (8, 3, 0.5, 0.3)
         assert p.theta.theta == 5.0 and p.steps == 10
         assert p.model == PROBABILISTIC and not p.fusion_enabled
-        assert cfg.runs == 4
+        assert cfg.spec.runs == 4
 
     def test_seed_required_for_run_and_sweep(self, capsys):
         assert parse_error(["run"]) == 2
@@ -96,14 +97,15 @@ class TestParseArgs:
 
     def test_sweep_grid_parsing(self):
         cfg = parse_args(["sweep", "theta", "0.1, 1,10", "--seed", "1"])
-        assert cfg.sweep_param == "theta"
-        assert cfg.sweep_grid == (0.1, 1.0, 10.0)
+        assert cfg.spec.param == "theta"
+        assert cfg.spec.grid == (0.1, 1.0, 10.0)
+        assert cfg.spec.capture == "final"
         cfg = parse_args(["sweep", "agents", "5,10", "--seed", "1"])
-        assert cfg.sweep_grid == (5, 10)
-        assert all(isinstance(v, int) for v in cfg.sweep_grid)
+        assert cfg.spec.grid == (5, 10)
+        assert all(isinstance(v, int) for v in cfg.spec.grid)
         # a grid that starts with a minus is the grid, not an unknown option
         cfg = parse_args(["sweep", "theta", "-1e-3,1", "--seed", "1"])
-        assert cfg.sweep_grid == (-1e-3, 1.0)
+        assert cfg.spec.grid == (-1e-3, 1.0)
 
     def test_sweep_grid_errors(self, capsys):
         assert parse_error(["sweep", "noise", "0.1,abc", "--seed", "1"]) == 2
@@ -117,7 +119,7 @@ class TestParseArgs:
         assert capsys.readouterr().err == "error: grid: sigma must be finite and >= 0\n"
 
     def test_sweep_runs_default(self):
-        assert parse_args(["sweep", "noise", "0.1", "--seed", "1"]).runs == 100
+        assert parse_args(["sweep", "noise", "0.1", "--seed", "1"]).spec.runs == 100
 
 
 class TestConfigFile:
@@ -130,20 +132,20 @@ class TestConfigFile:
         cfg_path = self.write(tmp_path, "agents = 6\nnoise = 0.25\n")
         cfg = parse_args(["run", "--seed", "1", "--agents", "8",
                           "--config", cfg_path])
-        assert cfg.params.agents == 8      # flag wins
-        assert cfg.params.sigma == 0.25    # config wins
-        assert cfg.params.states == 5      # default survives
+        assert cfg.spec.base.agents == 8      # flag wins
+        assert cfg.spec.base.sigma == 0.25    # config wins
+        assert cfg.spec.base.states == 5      # default survives
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         cfg_path = self.write(tmp_path, "# setup\n\nsteps = 7\n  # more\n")
         assert parse_args(["run", "--seed", "1",
-                           "--config", cfg_path]).params.steps == 7
+                           "--config", cfg_path]).spec.base.steps == 7
 
     def test_seed_and_model_from_config(self, tmp_path):
         cfg_path = self.write(tmp_path, "seed = 9\nmodel = probabilistic\n")
         cfg = parse_args(["run", "--config", cfg_path])
         assert cfg.seed == 9
-        assert cfg.params.model == PROBABILISTIC
+        assert cfg.spec.base.model == PROBABILISTIC
 
     def test_unknown_key_names_line(self, tmp_path, capsys):
         cfg_path = self.write(tmp_path, "agents = 6\nbanana = 2\n")
@@ -187,7 +189,7 @@ class TestConfigFile:
         path = tmp_path / "bom.cfg"
         path.write_bytes(b"\xef\xbb\xbfagents = 6\n")
         assert parse_args(["run", "--seed", "1",
-                           "--config", str(path)]).params.agents == 6
+                           "--config", str(path)]).spec.base.agents == 6
 
     def test_undecodable_file_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -291,6 +293,19 @@ class TestMainEndToEnd:
         assert capsys.readouterr().err.startswith("error:")
         assert blocker.read_text() == "occupied"
 
+    def test_population_too_large_to_allocate_fails_cleanly(self, tmp_path,
+                                                            capsys):
+        # 10^9 agents x 10^5 states of float64 is 728 TiB, more than a 47-bit
+        # address space, so the allocator refuses it before touching a page
+        code = main(["run", "--seed", "1", "--agents", "1000000000",
+                     "--states", "100000", "--steps", "0",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv,stub", [
         (["run"], "collect_trajectories"),
         (["sweep", "noise", "0.0,0.2"], "sweep"),
@@ -309,6 +324,19 @@ class TestMainEndToEnd:
         assert (capsys.readouterr().err
                 == f"error: [Errno 17] File exists: {str(blocker)!r}\n")
         assert blocker.read_text() == "occupied"
+
+    def test_population_too_large_to_allocate_fails_cleanly(self, tmp_path,
+                                                            capsys):
+        # 10^9 agents x 10^5 states of float64 is 728 TiB, more than a 47-bit
+        # address space, so the allocator refuses it before touching a page
+        code = main(["run", "--seed", "1", "--agents", "1000000000",
+                     "--states", "100000", "--steps", "0",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_dead_pool_worker_exits_1_and_writes_nothing(self, tmp_path, capsys,
                                                          monkeypatch, fresh_pool):

@@ -171,12 +171,6 @@ def sim_step_reference(b, bet, params, qualities, rho, sigma, theta, rngs):
     return degenerate
 
 
-def metric_rows(result):
-    """A RunResult's records as rows of its METRICS columns."""
-    names = METRICS[result.params.model]
-    return [[getattr(m, name) for name in names] for m in result]
-
-
 def draw_state(p_row, u):
     c = np.cumsum(p_row)
     return min(int((u > c).sum()), len(p_row) - 1) + 1
@@ -217,10 +211,11 @@ class TestInitAndMetrics:
         assert b == pytest.approx(np.full((2, 4, 3), 1 / 3), abs=1e-15)
 
     def test_initial_metrics(self):
-        m = run(params(steps=0))[0]
-        assert m.mean_poss_best == 1.0 and m.mean_nec_best == 0.0
-        m = run(params(steps=0, model=PROBABILISTIC))[0]
-        assert m.mean_prob_best == pytest.approx(1 / 3, abs=1e-15)
+        metrics, _ = run(params(steps=0))
+        assert metrics.tolist() == [[1.0, 0.0]]  # mean_poss_best, mean_nec_best
+        metrics, _ = run(params(steps=0, model=PROBABILISTIC))
+        assert metrics.shape == (1, 1)
+        assert metrics[0, 0] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_metrics_average_over_agents(self):
         b = np.array([[0.2, 0.4, 1.0],
@@ -238,48 +233,54 @@ class TestInitAndMetrics:
 
 class TestRunBasics:
     def test_record_per_step_plus_initial(self):
-        result = run(params(steps=7))
-        assert len(result) == 8
-        assert [m.step for m in result] == list(range(8))
+        metrics, _ = run(params(steps=7))
+        assert metrics.shape == (8, len(METRICS[POSSIBILISTIC]))
 
     def test_zero_steps(self):
-        result = run(params(steps=0))
-        assert len(result) == 1
-        assert result[0].mean_poss_best == 1.0
+        metrics, _ = run(params(steps=0))
+        assert metrics.shape == (1, 2)
+        assert metrics[0, 0] == 1.0
+
+    @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
+    def test_run_is_the_batch_of_one(self, model):
+        p = params(rho=0.6, sigma=1.5, steps=40, seed=5, model=model)
+        metrics, degenerate = run(p)
+        batch, batch_degenerate = run_batch([p])
+        assert metrics.shape == batch.shape[1:]
+        assert metrics.tolist() == batch[0].tolist()
+        assert type(degenerate) is int and degenerate == batch_degenerate[0]
 
     def test_same_seed_same_records(self):
         a = run(params(rho=0.4, sigma=0.3, steps=50, seed=99))
         b = run(params(rho=0.4, sigma=0.3, steps=50, seed=99))
-        assert a.records == b.records
+        assert a[0].tolist() == b[0].tolist() and a[1] == b[1]
 
     def test_different_seed_diverges(self):
-        a = run(params(rho=0.5, sigma=0.3, steps=50, seed=1))
-        b = run(params(rho=0.5, sigma=0.3, steps=50, seed=2))
-        assert a.records != b.records
+        a, _ = run(params(rho=0.5, sigma=0.3, steps=50, seed=1))
+        b, _ = run(params(rho=0.5, sigma=0.3, steps=50, seed=2))
+        assert a.tolist() != b.tolist()
 
     def test_no_evidence_no_fusion_freezes_population(self):
-        result = run(params(rho=0.0, fusion_enabled=False, steps=20))
-        assert all(m.mean_poss_best == 1.0 and m.mean_nec_best == 0.0
-                   for m in result)
+        metrics, _ = run(params(rho=0.0, fusion_enabled=False, steps=20))
+        assert metrics.tolist() == [[1.0, 0.0]] * 21
 
     def test_vacuous_population_is_fusion_fixed_point(self):
         # pairwise fusion of two vacuous beliefs is vacuous, so without
         # evidence the possibilistic population never moves
-        result = run(params(rho=0.0, fusion_enabled=True, steps=20))
-        assert result[-1].mean_poss_best == 1.0
-        assert result[-1].mean_nec_best == 0.0
+        metrics, _ = run(params(rho=0.0, fusion_enabled=True, steps=20))
+        assert metrics[-1].tolist() == [1.0, 0.0]
 
     def test_degenerate_fusions_counted(self):
         # high noise + certain evidence forces disjoint one-hot beliefs to
         # meet under product fusion sooner or later
-        result = run(SimParams(agents=6, states=3, rho=1.0, sigma=2.0,
-                               theta=THETA20, steps=300, model=PROBABILISTIC,
-                               seed=5))
-        assert result.degenerate_fusions > 0
+        _, degenerate = run(SimParams(agents=6, states=3, rho=1.0, sigma=2.0,
+                                      theta=THETA20, steps=300,
+                                      model=PROBABILISTIC, seed=5))
+        assert degenerate > 0
 
     def test_possibilistic_runs_never_degenerate(self):
-        result = run(params(rho=0.8, sigma=2.0, steps=200, seed=5))
-        assert result.degenerate_fusions == 0
+        _, degenerate = run(params(rho=0.8, sigma=2.0, steps=200, seed=5))
+        assert degenerate == 0
 
 
 class TestDrawSchedule:
@@ -447,18 +448,18 @@ class TestLockstep:
         assert batch.shape == (len(runs), steps + 1, len(METRICS[model]))
         assert finals.shape == (len(runs), 1, len(METRICS[model]))
         for r, p in enumerate(runs):
-            alone = run(p)
-            assert batch[r].tolist() == metric_rows(alone)
-            assert degenerate[r] == alone.degenerate_fusions
-            assert finals[r].tolist() == metric_rows(alone)[-1:]
-            assert final_degenerate[r] == alone.degenerate_fusions
+            alone, alone_degenerate = run(p)
+            assert batch[r].tolist() == alone.tolist()
+            assert degenerate[r] == alone_degenerate
+            assert finals[r].tolist() == alone[-1:].tolist()
+            assert final_degenerate[r] == alone_degenerate
 
     def test_batch_counts_degenerate_fusions_per_run(self):
         runs = [SimParams(agents=6, states=3, rho=rho, sigma=2.0, theta=THETA20,
                           steps=300, model=PROBABILISTIC, seed=5)
                 for rho in (1.0, 0.0)]
         busy, quiet = run_batch(runs)[1]
-        assert busy == run(runs[0]).degenerate_fusions > 0
+        assert busy == run(runs[0])[1] > 0
         assert quiet == 0
 
     def test_rejects_mixed_shapes_and_empty_batches(self):
@@ -484,7 +485,7 @@ class TestLockstep:
         assert lockstep_key(tiny) != lockstep_key(
             params(theta=FrankParameter(theta=1e-4)))
         assert run_batch([product, tiny])[0].tolist() == \
-            [metric_rows(run(product)), metric_rows(run(tiny))]
+            [run(product)[0].tolist(), run(tiny)[0].tolist()]
 
 
 def stream_state(rng):
@@ -663,11 +664,12 @@ class TestModelBehaviour:
     def test_noiseless_evidence_is_informative(self):
         # with certain evidence-free dynamics excluded, the best state's
         # support should grow over a modest horizon
-        result = run(SimParams(agents=20, states=3, rho=0.3, sigma=0.0,
-                               theta=THETA20, steps=400, model=POSSIBILISTIC,
-                               seed=8))
-        assert result[-1].mean_poss_best > 0.9
-        assert result[-1].mean_nec_best > result[0].mean_nec_best
+        metrics, _ = run(SimParams(agents=20, states=3, rho=0.3, sigma=0.0,
+                                   theta=THETA20, steps=400,
+                                   model=POSSIBILISTIC, seed=8))
+        poss, nec = metrics.T  # METRICS[POSSIBILISTIC] order
+        assert poss[-1] > 0.9
+        assert nec[-1] > nec[0]
 
 
 # ---------------------------------------------------------------------------

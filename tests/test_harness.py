@@ -7,11 +7,13 @@ import sys
 import textwrap
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from possibly import (
+    METRICS,
     POSSIBILISTIC,
     PROBABILISTIC,
     AggregateRecord,
@@ -19,6 +21,7 @@ from possibly import (
     SimParams,
     SweepSpec,
     aggregate_trajectories,
+    apply_param,
     collect_finals,
     collect_trajectories,
     derive_run_seed,
@@ -36,6 +39,7 @@ from possibly import harness
 from possibly.harness import (
     HISTOGRAM_HEADER,
     PRESET_NAMES,
+    SWEEP_PARAMS,
     PresetPart,
     trajectory_header,
 )
@@ -142,6 +146,23 @@ class TestSweepSpec:
             SweepSpec(base=tiny_params(), param="theta", grid=(1.0, 2.0),
                       capture="trajectory")
 
+    @pytest.mark.parametrize("param, value", [
+        ("agents", 2.5), ("agents", 3.0), ("states", 4.0), ("steps", 2.5)])
+    def test_integer_grid_values_are_not_truncated(self, param, value):
+        # a float reaches SimParams, whose integer check rejects it
+        with pytest.raises(ValueError, match="must be an integer"):
+            SweepSpec(base=tiny_params(), param=param, grid=(value, 3), runs=1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            apply_param(tiny_params(), param, value)
+        assert apply_param(tiny_params(), param, np.int64(3)) == \
+            replace(tiny_params(), **{SWEEP_PARAMS[param][0]: 3})
+
+    @pytest.mark.parametrize("param", tuple(SWEEP_PARAMS))
+    def test_swept_param_without_grid_is_a_value_error(self, param):
+        # the default grid (None,) holds no value of any parameter
+        with pytest.raises(ValueError):
+            SweepSpec(base=tiny_params(), param=param)
+
     def test_aggregate_record_orders_percentiles(self):
         with pytest.raises(ValueError):
             AggregateRecord(x=0.0, metric="m", mean=0.5, p10=0.9, p90=0.1)
@@ -163,24 +184,26 @@ class TestSweep:
     def test_single_run_aggregate_collapses(self):
         spec = SweepSpec(base=tiny_params(), param="theta", grid=(5.0,), runs=1)
         records = sweep(spec)
-        expected = run(tiny_params(theta=FrankParameter(theta=5.0),
-                                   seed=derive_run_seed(7, 0, 0)))[-1]
+        metrics, _ = run(tiny_params(theta=FrankParameter(theta=5.0),
+                                     seed=derive_run_seed(7, 0, 0)))
+        expected = dict(zip(METRICS[POSSIBILISTIC], metrics[-1].tolist()))
         by_name = {r.metric: r for r in records}
         assert set(by_name) == {"mean_poss_best", "mean_nec_best"}
         for name, rec in by_name.items():
-            assert rec.mean == rec.p10 == rec.p90 == getattr(expected, name)
+            assert rec.mean == rec.p10 == rec.p90 == expected[name]
             assert rec.x == 5.0
 
     def test_percentiles_bracket_samples(self):
         spec = SweepSpec(base=tiny_params(), param="noise", grid=(0.0, 0.4), runs=6)
         finals = {}
         for gi, v in enumerate((0.0, 0.4)):
-            finals[v] = [
-                run(tiny_params(sigma=v, seed=derive_run_seed(7, gi, ri)))[-1]
+            finals[v] = np.array([
+                run(tiny_params(sigma=v, seed=derive_run_seed(7, gi, ri)))[0][-1]
                 for ri in range(6)
-            ]
+            ])
+        names = METRICS[POSSIBILISTIC]
         for rec in sweep(spec):
-            samples = [getattr(m, rec.metric) for m in finals[rec.x]]
+            samples = finals[rec.x][:, names.index(rec.metric)].tolist()
             assert rec.p10 <= rec.p90
             assert min(samples) <= rec.p10 and rec.p90 <= max(samples)
             assert rec.mean == pytest.approx(np.mean(samples), abs=1e-15)
@@ -207,9 +230,8 @@ class TestSweep:
         trajs = collect_trajectories(spec)
         assert finals.shape == (3, 2) and trajs.shape == (3, 7, 2)
         assert (trajs[:, -1] == finals).all()
-        direct = run(tiny_params(seed=derive_run_seed(7, 0, 1)))
-        assert trajs[1].tolist() == [[m.mean_poss_best, m.mean_nec_best]
-                                     for m in direct]
+        direct, _ = run(tiny_params(seed=derive_run_seed(7, 0, 1)))
+        assert trajs[1].tolist() == direct.tolist()
 
     def test_trajectory_aggregation_uses_step_as_x(self):
         trajs = collect_trajectories(SweepSpec(base=tiny_params(), runs=4))
@@ -390,7 +412,7 @@ class TestRunPart:
         part = PresetPart(stem="t", kind="trajectory",
                           spec=SweepSpec(base=tiny_params(), runs=2))
         path = run_part(part, tmp_path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "run,step,mean_poss_best,mean_nec_best"
         assert len(lines) == 1 + 2 * (tiny_params().steps + 1)
 
@@ -398,14 +420,14 @@ class TestRunPart:
         part = PresetPart(stem="a", kind="aggregate",
                           spec=SweepSpec(base=tiny_params(), param="theta",
                                          grid=(1.0, 2.0), runs=2))
-        lines = open(run_part(part, tmp_path)).read().splitlines()
+        lines = Path(run_part(part, tmp_path)).read_text().splitlines()
         assert lines[0] == "x,metric,mean,p10,p90"
         assert len(lines) == 1 + 2 * 2
 
     def test_histogram_part(self, tmp_path):
         part = PresetPart(stem="h", kind="histogram", metric="mean_poss_best",
                           spec=SweepSpec(base=tiny_params(), runs=3))
-        lines = open(run_part(part, tmp_path)).read().splitlines()
+        lines = Path(run_part(part, tmp_path)).read_text().splitlines()
         assert lines[0] == "bin_lower,count"
         assert sum(int(l.split(",")[1]) for l in lines[1:]) == 3
 
@@ -418,11 +440,12 @@ class TestRunPart:
         base = tiny_params(model=model, steps=3)
         part = PresetPart(stem="h", kind="histogram", metric=metric,
                           spec=SweepSpec(base=base, runs=4))
-        finals = [getattr(run(replace(base, seed=derive_run_seed(7, 0, ri)))[-1],
-                          metric) for ri in range(4)]
+        column = METRICS[model].index(metric)
+        finals = [run(replace(base, seed=derive_run_seed(7, 0, ri)))[0][-1, column]
+                  for ri in range(4)]
         expected = "".join(f"{lower!r},{count}\n"
                            for lower, count in histogram(finals))
-        assert open(run_part(part, tmp_path)).read() == \
+        assert Path(run_part(part, tmp_path)).read_text() == \
             "bin_lower,count\n" + expected
 
     def test_fig2_runs_quickly_and_is_monotone_in_theta(self, tmp_path):
@@ -430,7 +453,7 @@ class TestRunPart:
         the pairwise consistency grows with theta, so less mass is added
         back during normalisation."""
         path = run_part(preset("fig2").parts[0], tmp_path)
-        rows = [l.split(",") for l in open(path).read().splitlines()[1:]]
+        rows = [l.split(",") for l in Path(path).read_text().splitlines()[1:]]
         s1 = [float(r[2]) for r in rows if r[1] == "fused_s1"]
         assert all(b <= a + 1e-12 for a, b in zip(s1, s1[1:]))
         top = [float(r[2]) for r in rows if r[1] == "fused_s2"]
@@ -474,7 +497,7 @@ class TestParallelDeterminism:
         part = PresetPart(stem="t", kind="trajectory", spec=spec)
         p1 = run_part(part, tmp_path / "w1", workers=1)
         p2 = run_part(part, tmp_path / "w2", workers=2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_reversal_curve_bytes_do_not_depend_on_workers(self, tmp_path,
                                                           monkeypatch):
@@ -483,7 +506,7 @@ class TestParallelDeterminism:
         part = preset("fig3", seed=3).parts[0]
         p1 = run_part(part, tmp_path / "w1", workers=1, seed=3)
         p2 = run_part(part, tmp_path / "w2", workers=2, seed=3)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestBatching:
@@ -647,7 +670,7 @@ class TestSharedPool:
         assert pools[0] is not None and pools.count(pools[0]) == 3
         for part, p2 in zip(parts, parallel):
             p1 = run_part(part, tmp_path / "w1", workers=1, seed=3)
-            assert open(p1, "rb").read() == open(p2, "rb").read()
+            assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_workers_do_not_outlive_their_process(self):
         code = textwrap.dedent("""
