@@ -9,21 +9,13 @@ for `run` and `sweep` so results are always reproducible on purpose.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, replace
 
-from .engine import (
-    ADOPT_BOTH,
-    ADOPT_RANDOM_ONE,
-    METRICS,
-    POSSIBILISTIC,
-    PROBABILISTIC,
-    SimParams,
-)
+from .engine import METRICS, OPTIONS, SimParams
 from .harness import (
     DEFAULT_PARAMS,
     DEFAULT_RUNS,
@@ -55,35 +47,6 @@ __all__ = ["CliConfig", "cmd_example", "main", "parse_args"]
 
 OUT_ENV_VAR = "POSSIBLY_OUT"
 
-# Every option of `run` and `sweep`, in flag order. The long flag is also
-# the config key; it maps to the option's type or tuple of choices and to
-# the SimParams field it sets (None for options resolved on their own). The
-# sweepable parameters and their defaults come from the harness.
-_OPTIONS = {
-    **{key: (cast, field) for key, (field, cast) in SWEEP_PARAMS.items()},
-    "runs": (int, None),
-    "seed": (int, None),
-    "model": ((POSSIBILISTIC, PROBABILISTIC), "model"),
-    "fusion": (("on", "off"), "fusion_enabled"),
-    "fusion-adoption": ((ADOPT_BOTH, ADOPT_RANDOM_ONE), "fusion_adoption"),
-    "workers": (int, None),
-    "out": (str, None),
-}
-
-# Range checks: flag -> (test, diagnostic). A value is rejected unless its
-# test holds, so NaN fails every check. theta is checked by FrankParameter.
-_RANGES = {
-    "agents": (lambda v: v >= 2, "need at least 2 agents"),
-    "states": (lambda v: v >= 2, "need at least 2 states"),
-    "evidence-rate": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    "noise": (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0"),
-    "steps": (lambda v: v >= 0, "must be >= 0"),
-    "runs": (lambda v: v >= 1, "must be >= 1"),
-    "seed": (lambda v: 0 <= v < 2 ** 64, "must be a 64-bit unsigned integer"),
-    "workers": (lambda v: v >= 1, "must be >= 1"),
-}
-
-
 @dataclass(frozen=True)
 class CliConfig:
     """A fully resolved invocation, ready to dispatch."""
@@ -100,10 +63,12 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads a token as an argument, not an unknown option, when
-        # this matches it. No option here starts with a digit, so a minus
-        # before a digit or a point and a digit begins a number: a grid such
-        # as -1,1 or -1e-3,1, or a value such as --theta -1e-3.
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # this matches it. No option here starts with a digit, i or n, so a
+        # minus before a digit, a point and a digit, inf or nan begins a
+        # number that float() reads: a grid such as -1,1, -1e-3,1 or -inf,1,
+        # or a value such as --theta -1e-3 or --theta -Infinity.
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
 
     # one-line diagnostics instead of usage dumps
     def error(self, message):
@@ -118,9 +83,9 @@ def _fail(flag: str, message: str):
 
 def _add_options(parser, keys) -> None:
     for key in keys:
-        kind = _OPTIONS[key][0]
-        if isinstance(kind, tuple):
-            parser.add_argument(f"--{key}", choices=kind, default=None)
+        kind = OPTIONS[key].kind
+        if isinstance(kind, dict):
+            parser.add_argument(f"--{key}", choices=tuple(kind), default=None)
         else:
             parser.add_argument(f"--{key}", type=kind, default=None)
 
@@ -134,7 +99,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("param", choices=tuple(SWEEP_PARAMS))
     p_sweep.add_argument("grid", help="comma-separated values, e.g. 0.1,1,10")
     for p in (p_run, p_sweep):
-        _add_options(p, _OPTIONS)
+        _add_options(p, OPTIONS)
         p.add_argument("--config", default=None)
 
     p_preset = sub.add_parser("preset", help="reproduce a stock experiment")
@@ -162,15 +127,17 @@ def _read_config(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if not eq or not key or not value:
             _fail("--config", f"line {ln}: expected `key = value`")
-        if key not in _OPTIONS:
+        if key not in OPTIONS:
             _fail("--config", f"line {ln}: unknown key {key!r}")
+        if key in mapping:
+            _fail("--config", f"line {ln}: duplicate key {key!r}")
         mapping[key] = value
     return mapping
 
 
 def _cast_config(key: str, raw: str):
-    kind = _OPTIONS[key][0]
-    if isinstance(kind, tuple):
+    kind = OPTIONS[key].kind
+    if isinstance(kind, dict):
         if raw in kind:
             return raw
     else:
@@ -181,62 +148,42 @@ def _cast_config(key: str, raw: str):
     _fail(f"--{key}", f"invalid value {raw!r} (from config file)")
 
 
-def _resolve(args, config: dict, key: str):
-    """The flag's value, else the config file's, else None."""
-    flag_value = getattr(args, key.replace("-", "_"), None)
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return _cast_config(key, config[key])
-    return None
-
-
-def _checked(key: str, value):
-    if key in _RANGES:
-        test, message = _RANGES[key]
-        if not test(value):
-            _fail(f"--{key}", message)
+def _resolve(args, config: dict, key: str, default=None):
+    """The flag's value, else the config file's, else default; a value
+    given is checked against the option's range."""
+    value = getattr(args, key.replace("-", "_"), None)
+    if value is None and key in config:
+        value = _cast_config(key, config[key])
+    if value is None:
+        return default
+    option = OPTIONS[key]
+    if not option.in_range(value):
+        _fail(f"--{key}", option.message)
     return value
 
 
 def _resolved_params(args, config: dict, seed: int) -> SimParams:
-    """DEFAULT_PARAMS with every field that a flag or config entry sets."""
-    given = {key: _resolve(args, config, key)
-             for key, (_, field) in _OPTIONS.items() if field}
-    given = {key: _checked(key, value)
-             for key, value in given.items() if value is not None}
+    """DEFAULT_PARAMS with every field that a flag or config entry sets.
+    Every value is range-checked before any is applied."""
+    given = {key: _resolve(args, config, key) for key, option in OPTIONS.items()
+             if option.field not in (None, "seed")}
     params = replace(DEFAULT_PARAMS, seed=seed)
     for key, value in given.items():
+        if value is None:
+            continue
+        option = OPTIONS[key]
         try:
-            if key in SWEEP_PARAMS:
-                params = apply_param(params, key, value)
+            if isinstance(option.kind, dict):
+                params = replace(params, **{option.field: option.kind[value]})
             else:
-                field = _OPTIONS[key][1]
-                value = value == "on" if key == "fusion" else value
-                params = replace(params, **{field: value})
-        except ValueError as exc:
+                params = apply_param(params, key, value)
+        except ValueError as exc:  # theta, which FrankParameter checks
             _fail(f"--{key}", str(exc))
     return params
 
 
-def _resolve_seed(args, config: dict, required: bool) -> int:
-    seed = _resolve(args, config, "seed")
-    if seed is None:
-        if required:
-            _fail("--seed", "required; pass an explicit seed for reproducibility")
-        seed = DEFAULT_SEED
-    return _checked("seed", seed)
-
-
-def _resolve_count(args, config: dict, key: str, default: int) -> int:
-    value = _resolve(args, config, key)
-    return _checked(key, default if value is None else value)
-
-
 def _resolve_out(args, config: dict) -> str:
-    out = getattr(args, "out", None)
-    if out is None:
-        out = config.get("out")
+    out = _resolve(args, config, "out")
     if out is None:
         out = os.environ.get(OUT_ENV_VAR)
     return out or "."
@@ -251,23 +198,24 @@ def parse_args(argv=None) -> CliConfig:
         return CliConfig(command="example")
 
     config = _read_config(args.config) if getattr(args, "config", None) else {}
-    workers = _resolve_count(args, config, "workers", default=1)
+    workers = _resolve(args, config, "workers", default=1)
+    seed = _resolve(args, config, "seed")
 
     if args.command == "preset":
-        seed = _resolve_seed(args, config, required=False)
         return CliConfig(command="preset", preset_name=args.name,
                          workers=workers, out=_resolve_out(args, config),
-                         seed=seed)
+                         seed=DEFAULT_SEED if seed is None else seed)
 
-    seed = _resolve_seed(args, config, required=True)
+    if seed is None:
+        _fail("--seed", "required; pass an explicit seed for reproducibility")
     params = _resolved_params(args, config, seed)
     out = _resolve_out(args, config)
 
     if args.command == "run":
-        runs = _resolve_count(args, config, "runs", default=1)
+        runs = _resolve(args, config, "runs", default=1)
         spec = SweepSpec(base=params, runs=runs, capture="trajectory")
     else:
-        runs = _resolve_count(args, config, "runs", default=DEFAULT_RUNS)
+        runs = _resolve(args, config, "runs", default=DEFAULT_RUNS)
         grid = _parse_grid(args.param, args.grid)
         try:
             spec = SweepSpec(base=params, param=args.param, grid=grid, runs=runs)

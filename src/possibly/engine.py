@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -75,9 +76,12 @@ from .probability import _draw_states_rows, _product_rows
 
 __all__ = [
     "METRICS",
+    "OPTIONS",
+    "Option",
     "POSSIBILISTIC",
     "PROBABILISTIC",
     "SimParams",
+    "check_fields",
     "lockstep_key",
     "run",
     "run_batch",
@@ -89,7 +93,6 @@ PROBABILISTIC = "probabilistic"
 ADOPT_BOTH = "both"
 ADOPT_RANDOM_ONE = "random-one"
 
-_SEED_MAX = 2 ** 64
 _TWO32 = 1 << 32
 _LOW32 = _TWO32 - 1
 
@@ -101,9 +104,79 @@ METRICS = {
 }
 
 
+class Option:
+    """One option of `possibly run` and `sweep`, keyed in OPTIONS by its
+    flag, which is also its config key: the SimParams field it sets, its
+    kind (int, float or str, or a dict from choice to value), its range
+    low <= value <= high, which NaN is not in (no range if low is None),
+    and the CLI's words for a value out of range."""
+
+    __slots__ = ("field", "kind", "low", "high", "message")
+
+    def __init__(self, field: str | None, kind: type | dict,
+                 low: float | None = None, high: float | None = None,
+                 message: str | None = None) -> None:
+        self.field, self.kind = field, kind
+        self.low, self.high, self.message = low, high, message
+
+    def in_range(self, value) -> bool:
+        return self.low is None or self.low <= value <= self.high
+
+
+def check_fields(obj, fields) -> None:
+    """Check obj's fields, (name, Option) pairs, against their options and
+    store integers as Python ints (numpy ones included). A ValueError names
+    the field; its message is the CLI's after the name, except "need at
+    least ...", which reads the same alone."""
+    for name, option in fields:
+        value, kind = getattr(obj, name), option.kind
+        if kind is int and value.__class__ is not int:
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+            object.__setattr__(obj, name, value)
+        elif kind.__class__ is dict:
+            if value not in kind.values():
+                raise ValueError(f"unknown {name.replace('_', ' ')}: {value!r}")
+            continue
+        try:
+            if option.in_range(value):
+                continue
+        except TypeError:  # a str or None where a number belongs
+            raise ValueError(f"{name} must be a number") from None
+        message = option.message
+        raise ValueError(message if message.startswith("need ")
+                         else f"{name} {message}")
+
+
+# Every option of `run` and `sweep`, in --help order. theta is checked
+# where it is wrapped into a FrankParameter, after every range test.
+OPTIONS = {
+    "agents": Option("agents", int, 2, math.inf, "need at least 2 agents"),
+    "states": Option("states", int, 2, math.inf, "need at least 2 states"),
+    "evidence-rate": Option("rho", float, 0.0, 1.0, "must lie in [0, 1]"),
+    "noise": Option("sigma", float, 0.0, sys.float_info.max,
+                    "must be finite and >= 0"),
+    "theta": Option("theta", float),
+    "steps": Option("steps", int, 0, math.inf, "must be >= 0"),
+    "runs": Option(None, int, 1, math.inf, "must be >= 1"),
+    "seed": Option("seed", int, 0, 2 ** 64 - 1,
+                   "must be a 64-bit unsigned integer"),
+    "model": Option("model", {m: m for m in (POSSIBILISTIC, PROBABILISTIC)}),
+    "fusion": Option("fusion_enabled", {"on": True, "off": False}),
+    "fusion-adoption": Option("fusion_adoption",
+                              {a: a for a in (ADOPT_BOTH, ADOPT_RANDOM_ONE)}),
+    "workers": Option(None, int, 1, math.inf, "must be >= 1"),
+    "out": Option(None, str),
+}
+_FIELD_OPTIONS = tuple((o.field, o) for o in OPTIONS.values() if o.field)
+
+
 @dataclass(frozen=True)
 class SimParams:
-    """Everything that determines one run, including its random stream."""
+    """Everything that determines one run, including its random stream.
+    OPTIONS states each field's type and range."""
 
     agents: int
     states: int
@@ -117,31 +190,9 @@ class SimParams:
     fusion_adoption: str = ADOPT_BOTH
 
     def __post_init__(self) -> None:
-        # integers only (numpy ones included), stored as Python ints
-        for name in ("agents", "states", "steps", "seed"):
-            try:
-                value = operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
-            object.__setattr__(self, name, value)
-        if self.agents < 2:
-            raise ValueError("need at least 2 agents")
-        if self.states < 2:
-            raise ValueError("need at least 2 states")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must lie in [0, 1]")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError("sigma must be finite and >= 0")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.model not in (POSSIBILISTIC, PROBABILISTIC):
-            raise ValueError(f"unknown model: {self.model!r}")
-        if self.fusion_adoption not in (ADOPT_BOTH, ADOPT_RANDOM_ONE):
-            raise ValueError(f"unknown fusion adoption: {self.fusion_adoption!r}")
+        check_fields(self, _FIELD_OPTIONS)
         if not isinstance(self.theta, FrankParameter):
             raise ValueError("theta must be a FrankParameter")
-        if not 0 <= self.seed < _SEED_MAX:
-            raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ the interpreter exits.
 from __future__ import annotations
 
 import itertools
-import operator
 import os
 import tempfile
 from collections.abc import Collection
@@ -40,9 +39,11 @@ import numpy as np
 
 from .engine import (
     METRICS,
+    OPTIONS,
     POSSIBILISTIC,
     PROBABILISTIC,
     SimParams,
+    check_fields,
     lockstep_key,
     run,  # unused here; perfbench's tracer patches harness.run
     run_batch,
@@ -94,16 +95,12 @@ DEFAULT_PARAMS = SimParams(agents=100, states=5, rho=0.05, sigma=0.0,
                            theta=FrankParameter(theta=20.0), steps=1500,
                            model=POSSIBILISTIC, seed=DEFAULT_SEED)
 
-# Sweepable parameters, kebab-case as on the command line, in the order the
-# CLI lists them: name -> (SimParams field, type of a grid value).
-SWEEP_PARAMS = {
-    "agents": ("agents", int),
-    "states": ("states", int),
-    "evidence-rate": ("rho", float),
-    "noise": ("sigma", float),
-    "theta": ("theta", float),  # wrapped into a FrankParameter
-    "steps": ("steps", int),
-}
+# Sweepable parameters, the numeric SimParams options but the seed, which a
+# sweep derives per run, in the order the CLI lists them:
+# name -> (SimParams field, type of a grid value). theta is wrapped into a
+# FrankParameter.
+SWEEP_PARAMS = {flag: (o.field, o.kind) for flag, o in OPTIONS.items()
+                if o.kind in (int, float) and o.field not in (None, "seed")}
 
 
 def apply_param(base: SimParams, param: str | None, value) -> SimParams:
@@ -145,12 +142,7 @@ class SweepSpec:
         object.__setattr__(self, "grid", tuple(self.grid))
         if len(self.grid) == 0:
             raise ValueError("grid must be nonempty")
-        try:
-            object.__setattr__(self, "runs", operator.index(self.runs))
-        except TypeError:
-            raise ValueError("runs must be an integer") from None
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        check_fields(self, (("runs", OPTIONS["runs"]),))
         if self.capture not in (CAPTURE_FINAL, CAPTURE_TRAJECTORY):
             raise ValueError(f"unknown capture mode: {self.capture!r}")
         if self.param is None:

@@ -1,12 +1,14 @@
 """Command-line parsing, precedence rules, and end-to-end subcommands."""
 
 import os
+import re
 from dataclasses import replace
 
 import pytest
 
 from possibly import DEFAULT_SEED, POSSIBILISTIC, PROBABILISTIC, cli, harness, preset
 from possibly.cli import OUT_ENV_VAR, cmd_example, main, parse_args
+from possibly.engine import OPTIONS
 
 THETA_ZERO = ("theta = 0 is not a member of the Frank family; "
               "use the product limit variant")
@@ -25,7 +27,32 @@ RANGE_ERRORS = [
     (["run", "--seed", "1", "--runs", "0"], "--runs", "must be >= 1"),
     (["run", "--seed", "1", "--noise", "nan"], "--noise", "must be finite and >= 0"),
     (["run", "--seed", "1", "--noise", "inf"], "--noise", "must be finite and >= 0"),
+    # every range is tested before theta's FrankParameter check
+    (["run", "--seed", "1", "--theta", "0", "--steps", "-1"], "--steps",
+     "must be >= 0"),
+    # a minus before inf or nan begins a value, not an option
+    (["run", "--seed", "1", "--theta", "-inf"], "--theta", "theta must be finite"),
+    (["run", "--seed", "1", "--theta", "-Infinity"], "--theta",
+     "theta must be finite"),
 ]
+
+# For every OPTIONS entry: a value in range other than the default, and one
+# out of range, or None where the option has no range to leave
+SCHEMA_VALUES = {
+    "agents": ("7", "1"),
+    "states": ("4", "1"),
+    "evidence-rate": ("0.5", "1.5"),
+    "noise": ("0.3", "-0.1"),
+    "theta": ("5", "0"),
+    "steps": ("10", "-1"),
+    "runs": ("3", "0"),
+    "seed": ("7", "-1"),
+    "model": (PROBABILISTIC, None),
+    "fusion": ("off", None),
+    "fusion-adoption": ("random-one", None),
+    "workers": ("2", "0"),
+    "out": ("results", None),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -121,6 +148,19 @@ class TestParseArgs:
     def test_sweep_runs_default(self):
         assert parse_args(["sweep", "noise", "0.1", "--seed", "1"]).spec.runs == 100
 
+    def test_sweep_grid_of_negative_infinity(self, capsys):
+        assert parse_error(["sweep", "theta", "-inf,1", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "error: grid: theta must be finite\n"
+
+    def test_help_lists_options_and_sweep_params_in_order(self, capsys):
+        assert parse_error(["sweep", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "{agents,states,evidence-rate,noise,theta,steps}" in out
+        assert re.findall(r"^  (--[a-z-]+)", out, re.MULTILINE) == [
+            "--agents", "--states", "--evidence-rate", "--noise", "--theta",
+            "--steps", "--runs", "--seed", "--model", "--fusion",
+            "--fusion-adoption", "--workers", "--out", "--config"]
+
 
 class TestConfigFile:
     def write(self, tmp_path, text):
@@ -146,6 +186,35 @@ class TestConfigFile:
         cfg = parse_args(["run", "--config", cfg_path])
         assert cfg.seed == 9
         assert cfg.spec.base.model == PROBABILISTIC
+
+    @pytest.mark.parametrize("key", tuple(OPTIONS))
+    def test_flag_and_config_key_agree(self, tmp_path, capsys, key):
+        good, bad = SCHEMA_VALUES[key]
+        argv = ["run"] if key == "seed" else ["run", "--seed", "1"]
+
+        def by_config(value):
+            return argv + ["--config", self.write(tmp_path, f"{key} = {value}\n")]
+
+        by_flag = parse_args(argv + [f"--{key}", good])
+        assert by_flag == parse_args(by_config(good))
+        default = parse_args(["run", "--seed", "1"])
+        assert by_flag != default
+        field = OPTIONS[key].field
+        if field:  # that field alone differs from the default
+            assert replace(by_flag.spec.base, **{
+                field: getattr(default.spec.base, field)}) == default.spec.base
+        if bad is not None:
+            assert parse_error(argv + [f"--{key}", bad]) == 2
+            line = capsys.readouterr().err
+            assert line.startswith(f"error: --{key}: ")
+            assert parse_error(by_config(bad)) == 2
+            assert capsys.readouterr().err == line
+
+    def test_repeated_key_is_rejected(self, tmp_path, capsys):
+        cfg_path = self.write(tmp_path, "agents = 1\nagents = 5\n")
+        assert main(["run", "--seed", "1", "--config", cfg_path]) == 2
+        assert (capsys.readouterr().err
+                == "error: --config: line 2: duplicate key 'agents'\n")
 
     def test_unknown_key_names_line(self, tmp_path, capsys):
         cfg_path = self.write(tmp_path, "agents = 6\nbanana = 2\n")

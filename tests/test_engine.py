@@ -200,6 +200,17 @@ class TestSimParams:
         params(steps=0)
         params(seed=2 ** 64 - 1)
 
+    @pytest.mark.parametrize("field, value, message", [
+        # "off" is truthy: a run with it would fuse
+        ("fusion_enabled", "off", "unknown fusion enabled: 'off'"),
+        ("rho", "0.5", "rho must be a number"),
+        ("sigma", None, "sigma must be a number"),
+    ])
+    def test_rejects_a_value_of_the_wrong_type(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            params(**{field: value})
+        assert str(err.value) == message
+
 
 class TestInitAndMetrics:
     def test_possibilistic_starts_vacuous(self):
