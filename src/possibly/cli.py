@@ -61,7 +61,9 @@ class CliConfig:
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # no prefix of a flag stands for it, as no prefix of a config key
+        # does; the subcommands' parsers are of this class too
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # argparse reads a token as an argument, not an unknown option, when
         # this matches it. No option here starts with a digit, i or n, so a
         # minus before a digit, a point and a digit, inf or nan begins a

@@ -49,6 +49,43 @@ states for those agents alone, from their beliefs after the pair fusion.
 Both kernels are rowwise and every agent's uniform is still drawn, so each
 of them gets the state, bit for bit, that a draw for every agent gives it.
 
+Which agents a step touches, the fused pair and the agents whose success
+uniform falls below rho, is fixed by the draws and not by the beliefs. So a
+sparse batch, whose expected evidence rows per step (the sum of rho * k over
+its runs) fall below _SPARSE_ROWS, is stepped by dependency level
+(_run_levels) rather than one _sim_step at a time (_run_steps):
+
+- a window of steps is drawn ahead, every run on the schedule above;
+- each event, a pair fusion or one agent's evidence, gets a level one past
+  the highest level of any agent it reads or writes, and gives that level to
+  those agents. A step's pair comes before its evidence, so an adopter's
+  evidence waits one level; events that share a level touch disjoint agents;
+- each level is one pass of the row kernels over all of its events, of many
+  steps and runs: betting rows, states and evidence rows for its evidence
+  events, then one _fuse_rows or _product_rows call for its pairs and
+  evidence rows together. Every kernel is rowwise, so each event gets the
+  bits that the step loop gives it;
+- each step's metrics are rebuilt from per-agent columns (the last state's
+  degree, and the largest of the others), advanced by the window's writes in
+  step order and reduced over agents as _metrics_from_array reduces them.
+
+At the paper's population (100 agents, 5 states, rho = 0.05) a step of one
+or two runs fuses about a dozen rows in some 140 numpy calls, and a window
+of 32 steps of 2 runs takes about 8 passes instead of 64. The constants, as
+measured on a 2-vCPU host (time by level over time step by step, at 100
+agents and 5 states, both models and both capture modes):
+
+- _SPARSE_ROWS = 256 sits at the crossover: 2 runs at rho = 0.05 (10 rows)
+  take 0.42-0.56; 50 runs (250 rows) 0.85-0.99; 60 runs (300 rows)
+  0.87-0.93; 100 runs (500 rows) 0.97-1.08; 3 runs at rho = 1 (300 rows),
+  where every agent takes evidence every step, 0.87-1.17.
+- _WINDOW_STEPS = 32: passes per step fall with the window and level off;
+  2 possibilistic runs with trajectories take 0.51, 0.44, 0.40 and 0.39
+  with windows of 16, 32, 64 and 128 steps, while the draws held grow.
+- _WINDOW_DRAWS = 2**17 caps a window's draws, 24 bytes per agent and
+  step, at 3 MiB where runs or agents are many (26 steps at 50 runs of 100
+  agents); 32 steps of 2 runs draw 150 kB.
+
 A batch's metrics are one (R, steps + 1, m) array whose last axis holds the
 METRICS[model] columns, in that order, and its degenerate product fusions
 one (R,) count array; run() returns a batch of one's row of each.
@@ -95,6 +132,14 @@ ADOPT_RANDOM_ONE = "random-one"
 
 _TWO32 = 1 << 32
 _LOW32 = _TWO32 - 1
+
+# run_batch steps a batch by dependency level when its expected evidence
+# rows per step, the sum of rho * k over its runs, fall below this; the
+# steps that one window draws ahead, and the most agent steps (R * k per
+# step) that it may draw. The module docstring gives their measurements.
+_SPARSE_ROWS = 256
+_WINDOW_STEPS = 32
+_WINDOW_DRAWS = 1 << 17
 
 # The metric columns of each model: the agent averages of Pi({s_n}) and
 # N({s_n}), or of p(s_n).
@@ -236,6 +281,26 @@ def _bounded(bits: np.random.BitGenerator, bound: int) -> int:
     return m >> 32
 
 
+def _draw_step(rngs: Sequence[np.random.Generator], params: SimParams,
+               pairs: list, u: np.ndarray, eps: np.ndarray) -> None:
+    """Every run's draws for one step, in its stream's order: with fusion,
+    a pair of distinct agents, uniform over ordered and hence unordered
+    pairs (j is shifted past i), and with random-one adoption the adopter,
+    appended to pairs as (i, j, adopter); then the state and success
+    uniforms into u, (R, 2, k), and the normals into eps, (R, k)."""
+    k = params.agents
+    random_one = params.fusion_adoption == ADOPT_RANDOM_ONE
+    for r, rng in enumerate(rngs):
+        if params.fusion_enabled:
+            bits = rng.bit_generator
+            i = _bounded(bits, k)
+            j = _bounded(bits, k - 1)
+            j += j >= i
+            pairs.append((i, j, (i, j)[_bounded(bits, 2)] if random_one else i))
+        rng.random(out=u[r])
+        rng.standard_normal(out=eps[r])
+
+
 def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
               rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
               rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -250,23 +315,10 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     degenerate = np.zeros(r_count, dtype=np.int64)
     run_rows = np.arange(r_count)
 
-    # every run's draws for this step, in its stream's order: a pair of
-    # distinct agents, uniform over ordered and hence unordered pairs (j is
-    # shifted past i), with random-one adoption the adopter, then the
-    # uniforms and the normals
     pairs = []  # i, j, adopter per run
-    random_one = params.fusion_adoption == ADOPT_RANDOM_ONE
     u = np.empty((r_count, 2, k))  # state, then success uniforms
     eps = np.empty((r_count, k))
-    for r, rng in enumerate(rngs):
-        if params.fusion_enabled:
-            bits = rng.bit_generator
-            i = _bounded(bits, k)
-            j = _bounded(bits, k - 1)
-            j += j >= i
-            pairs.append((i, j, (i, j)[_bounded(bits, 2)] if random_one else i))
-        rng.random(out=u[r])
-        rng.standard_normal(out=eps[r])
+    _draw_step(rngs, params, pairs, u, eps)
     u_state, u_succ = u[:, 0], u[:, 1]
 
     if params.fusion_enabled:
@@ -319,6 +371,181 @@ def _metrics_from_array(b: np.ndarray, model: str) -> np.ndarray:
     return out
 
 
+def _sparse(runs: Sequence[SimParams]) -> bool:
+    """Whether run_batch steps the batch runs by dependency level: whether
+    their expected evidence rows per step, the sum of rho * k, fall below
+    _SPARSE_ROWS."""
+    return sum(p.rho for p in runs) * runs[0].agents < _SPARSE_ROWS
+
+
+def _run_steps(b: np.ndarray, params: SimParams, qualities: np.ndarray,
+               rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
+               rngs: Sequence[np.random.Generator],
+               metrics: np.ndarray) -> np.ndarray:
+    """Run the batch b to params.steps one _sim_step at a time, writing
+    every step's metrics, or with one metrics row the last step's alone,
+    into metrics. Returns each run's degenerate fusion count."""
+    final_only = metrics.shape[1] == 1
+    degenerate = np.zeros(b.shape[0], dtype=np.int64)
+    for t in range(params.steps + 1):
+        if t:
+            degenerate += _sim_step(b, params, qualities, rho, sigma, theta,
+                                    rngs)
+        if not final_only or t == params.steps:
+            metrics[:, -1 if final_only else t] = _metrics_from_array(
+                b, params.model)
+    return degenerate
+
+
+def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
+                rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
+                rngs: Sequence[np.random.Generator],
+                metrics: np.ndarray) -> np.ndarray:
+    """_run_steps by dependency level (see the module docstring), to the
+    same beliefs, metrics, counts and generator states."""
+    r_count, k, n = b.shape
+    rk = r_count * k
+    possibilistic = params.model == POSSIBILISTIC
+    fusion = params.fusion_enabled
+    random_one = params.fusion_adoption == ADOPT_RANDOM_ONE
+    trajectory = metrics.shape[1] > 1
+    rows_b = b.reshape(rk, n)
+    degenerate = np.zeros(r_count, dtype=np.int64)
+    if trajectory:
+        metrics[:, 0] = _metrics_from_array(b, params.model)
+        # each agent's METRICS columns: its last degree, then the largest
+        # of its others
+        columns = [rows_b[:, -1].copy()]
+        if possibilistic:
+            columns.append(rows_b[:, :-1].max(axis=1))
+    span = max(1, min(params.steps, _WINDOW_STEPS, _WINDOW_DRAWS // rk))
+    u = np.empty((span, r_count, 2, k))  # state, then success uniforms
+    eps = np.empty((span, r_count, k))
+    # a step raises the highest level by at most 2, so 2 * span fits
+    level_type = np.min_scalar_type(2 * span)
+    agent_level = np.empty(rk, dtype=level_type)
+    run_base = np.arange(r_count) * k
+    for t0 in range(0, params.steps, span):
+        w = min(span, params.steps - t0)
+
+        # every run's draws for the window, step by step; pairs[t, r]
+        # holds the rows i, j and the adopter of run r's pair at step t
+        pairs = []
+        for t in range(w):
+            _draw_step(rngs, params, pairs, u[t], eps[t])
+        pairs = np.array(pairs, dtype=np.intp).reshape(w, -1, 3)
+        pairs += run_base[:pairs.shape[1], None]  # no runs without fusion
+        # evidence event f is agent row f % rk at step f // rk
+        f = (u[:w, :, 1] < rho[:, None]).ravel().nonzero()[0]
+        e_row = f % rk
+        e_ends = np.searchsorted(f, np.arange(w + 1) * rk)
+
+        # each event's level, one past the highest level of the agents it
+        # reads or writes, which it then gives them; the pairs of a step
+        # come before its evidence, and runs share no agents
+        agent_level[:] = 0
+        pair_level = np.empty(pairs.shape[:2], dtype=level_type)
+        e_level = np.empty(f.size, dtype=level_type)
+        for t in range(w):
+            if fusion:
+                i, j, level = pairs[t, :, 0], pairs[t, :, 1], pair_level[t]
+                np.maximum(agent_level[i], agent_level[j], out=level)
+                level += 1
+                agent_level[i] = level
+                agent_level[j] = level
+            rows = e_row[e_ends[t]:e_ends[t + 1]]
+            level = e_level[e_ends[t]:e_ends[t + 1]]
+            np.add(agent_level[rows], 1, out=level)
+            agent_level[rows] = level
+
+        # the events (pairs, then evidence) sorted by level, stably so
+        # that each level's pairs come first (numpy sorts 8- and 16-bit
+        # integers by radix); per event the rows
+        # it reads as x and y (y unused by evidence), the row it writes
+        # and its run, and per evidence event its state uniform, at flat
+        # index 2f - f % k of u, and its noise term
+        pairs = pairs.reshape(-1, 3)
+        levels = np.concatenate((pair_level.ravel(), e_level))
+        by_level = levels.argsort(kind="stable")
+        ends = np.cumsum(np.bincount(levels, minlength=1))
+        level_pairs = np.bincount(pair_level.ravel(), minlength=ends.size)
+        row_x = np.concatenate((pairs[:, 0], e_row))[by_level]
+        row_y = np.concatenate((pairs[:, 1], e_row))[by_level]
+        written = np.concatenate(
+            (pairs[:, 2 if random_one else 0], e_row))[by_level]
+        run = row_x // k
+        pad = np.zeros(len(pairs))
+        u_state = np.concatenate(
+            (pad, u[:w].reshape(-1)[2 * f - f % k]))[by_level]
+        noise = np.concatenate(
+            (pad, sigma[e_row // k] * eps[:w].reshape(-1)[f]))[by_level]
+        if trajectory:
+            values = [np.empty(levels.size) for _ in columns]
+
+        for lv in range(1, ends.size):
+            start, stop = ends[lv - 1], ends[lv]
+            cut = start + level_pairs[lv]  # the level's first evidence event
+            x = rows_b[row_x[start:stop]]
+            y = rows_b[row_y[start:stop]]  # evidence rows replaced below
+            if cut < stop:
+                ev = x[cut - start:]
+                si = _draw_states_rows(_pignistic_rows(ev) if possibilistic
+                                       else ev, u_state[cut:stop])
+                qhat = qualities[si] + noise[cut:stop]
+                np.minimum(np.maximum(qhat, 0.0, out=qhat), 1.0, out=qhat)
+                y[cut - start:] = _evidence_rows(possibilistic, n, si, qhat)
+            runs = run[start:stop]
+            if possibilistic:
+                fused = _fuse_rows(theta.take(runs), x, y)
+            else:
+                fused, bad = _product_rows(x, y)
+                if bad.any():
+                    degenerate += np.bincount(runs[bad], minlength=r_count)
+            rows_b[written[start:stop]] = fused
+            if not random_one and cut > start:
+                rows_b[row_y[start:cut]] = fused[:cut - start]
+            if trajectory:
+                ids = by_level[start:stop]
+                values[0][ids] = fused[:, -1]
+                if possibilistic:
+                    values[1][ids] = fused[:, :-1].max(axis=1)
+
+        if trajectory:
+            _window_metrics(metrics[:, t0 + 1:t0 + w + 1], columns, values,
+                            pairs.reshape(w, -1, 3), e_row, e_ends,
+                            random_one)
+    if not trajectory:
+        metrics[:, 0] = _metrics_from_array(b, params.model)
+    return degenerate
+
+
+def _window_metrics(out: np.ndarray, columns: list, values: list,
+                    pairs: np.ndarray, e_row: np.ndarray, e_ends: np.ndarray,
+                    random_one: bool) -> None:
+    """A window's per-step metrics, written into out, an (R, w, m) view.
+    columns holds each agent's METRICS columns before the window, values
+    the same per event, in event order; the columns are advanced step by
+    step in place, and each step's are reduced over agents as
+    _metrics_from_array reduces them."""
+    r_count, w, _ = out.shape
+    written = pairs[:, :, 2:] if random_one else pairs[:, :, :2]
+    n_pairs = pairs.shape[0] * pairs.shape[1]
+    pair_values = [v[:n_pairs].reshape(w, -1, 1) for v in values]
+    e_values = [v[n_pairs:] for v in values]
+    scratch = np.empty(columns[0].size)
+    for t in range(w):
+        step = slice(e_ends[t], e_ends[t + 1])
+        for c, column in enumerate(columns):
+            # the pair first: an adopter's evidence in the same step follows
+            column[written[t]] = pair_values[c][t]
+            column[e_row[step]] = e_values[c][step]
+            if c:  # 1 - the largest other degree
+                column = np.subtract(1.0, column, out=scratch)
+            np.add.reduce(column.reshape(r_count, -1), axis=1,
+                          out=out[:, t, c])
+    out /= columns[0].size // r_count
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -337,13 +564,20 @@ def run_batch(runs: Sequence[SimParams],
     Returns the metrics, an (R, steps + 1, m) array in METRICS[model] column
     order, and each run's degenerate fusion count, an (R,) array. Row i
     equals run(runs[i]) exactly. With final_only the metrics are (R, 1, m),
-    the last step's alone, and no earlier step's are computed.
+    the last step's alone, and no earlier step's are computed. A batch
+    whose expected evidence rows per step, the sum of rho * k over its
+    runs, fall below _SPARSE_ROWS is stepped by dependency level, a denser
+    one step by step (see the module docstring); both give the same bits.
     """
-    # Freeing one untouched 4 MiB block lifts glibc's dynamic mmap and trim
-    # thresholds above a step's temporaries (mallopt(3)), so the heap top is
-    # not given back and refaulted every step; it is never resident, and
-    # other allocators ignore it.
-    np.empty(1 << 19)
+    # Freeing one untouched block of about 4 MiB lifts glibc's dynamic mmap
+    # and trim thresholds above a step's temporaries (mallopt(3)), so the
+    # heap top is not given back and refaulted every step; it is never
+    # resident, and other allocators ignore it. It is 8 bytes short of
+    # 4 MiB, below which numpy does not madvise an array for huge pages:
+    # once the block came from the heap, that advice let the kernel back
+    # the heap with 2 MiB pages, which added 2 MB to a process's peak RSS,
+    # or not, by chance.
+    np.empty((1 << 19) - 1)
     runs = tuple(runs)
     if not runs:
         raise ValueError("need at least one run")
@@ -361,11 +595,6 @@ def run_batch(runs: Sequence[SimParams],
     b = _initial_beliefs(shape, len(runs))
     metrics = np.empty((len(runs), 1 if final_only else shape.steps + 1,
                         len(METRICS[shape.model])))
-    degenerate = np.zeros(len(runs), dtype=np.int64)
-    for t in range(shape.steps + 1):
-        if t:
-            degenerate += _sim_step(b, shape, qualities, rho, sigma, theta,
-                                    rngs)
-        if not final_only or t == shape.steps:
-            metrics[:, -1 if final_only else t] = _metrics_from_array(b, shape.model)
+    advance = _run_levels if _sparse(runs) else _run_steps
+    degenerate = advance(b, shape, qualities, rho, sigma, theta, rngs, metrics)
     return metrics, degenerate

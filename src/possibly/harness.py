@@ -238,8 +238,9 @@ def _batches(runs, workers: int) -> list[tuple[SimParams, ...]]:
 def _pool_size(workers: int, jobs: int) -> int:
     # the pool starts all its processes up front, so ask for no more than
     # there are jobs and CPUs to give them
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    option = OPTIONS["workers"]
+    if not option.in_range(workers):
+        raise ValueError(f"workers {option.message}")
     return min(workers, jobs, os.cpu_count() or 1)
 
 

@@ -404,9 +404,13 @@ def _pignistic_rows(b: np.ndarray) -> np.ndarray:
     v = b.take(order)
     # into a second array: an in-place v[:, :-1] -= v[:, 1:] overlaps, so
     # numpy copies v[:, 1:] first; at 1000 x 20 rows that extra temporary
-    # multiplied the page faults of a step and slowed it
+    # multiplied the page faults of a step and slowed it. Both are
+    # contiguous, so one flat subtract of each entry's successor covers
+    # every row; the one that crosses into the next row lands in a last
+    # column, which is then overwritten.
     diffs = np.empty_like(v)
-    np.subtract(v[:, :-1], v[:, 1:], out=diffs[:, :-1])
+    flat, flat_diffs = v.reshape(-1), diffs.reshape(-1)
+    np.subtract(flat[:-1], flat[1:], out=flat_diffs[:-1])
     diffs[:, -1] = v[:, -1]
     diffs /= np.arange(1, n + 1)
     # the suffix sums go into v, free after the subtract, and are scattered

@@ -81,9 +81,10 @@ def _product_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     s = np.add.reduce(a, axis=1)
     bad = s < DEGENERATE_MASS
     if bad.any():
+        # the uniform rows are divided by 1.0 below, which keeps them exact
         s = np.where(bad, 1.0, s)
+        a[bad] = 1.0 / a.shape[1]
     a /= s[:, None]
-    a[bad] = 1.0 / a.shape[1]
     return a, bad
 
 

@@ -222,6 +222,15 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "line 2" in err and "banana" in err
 
+    def test_a_prefix_is_neither_a_flag_nor_a_key(self, tmp_path, capsys):
+        assert parse_error(["run", "--seed", "1", "--ag", "5"]) == 2
+        assert (capsys.readouterr().err
+                == "error: unrecognized arguments: --ag 5\n")
+        assert parse_error(["run", "--seed", "1", "--config",
+                            self.write(tmp_path, "ag = 5\n")]) == 2
+        assert (capsys.readouterr().err
+                == "error: --config: line 1: unknown key 'ag'\n")
+
     def test_malformed_line(self, tmp_path, capsys):
         cfg_path = self.write(tmp_path, "agents\n")
         assert parse_error(["run", "--seed", "1", "--config", cfg_path]) == 2

@@ -1,7 +1,7 @@
 """Simulation engine: parameter validation, the fixed per-step draw
-schedule, the bounded integer draw, determinism, lockstep batching, betting
-rows computed where the draw reads them, numerical edge cases, heap page
-faults, and population metrics.
+schedule, the bounded integer draw, determinism, lockstep batching, stepping
+by dependency level, betting rows computed where the draw reads them,
+numerical edge cases, heap page faults, and population metrics.
 
 The schedule contract tests replicate the engine's documented draw order
 with an identically seeded generator and check the resulting beliefs
@@ -9,10 +9,12 @@ exactly; any silent reordering of stream consumption breaks them.
 """
 
 import platform
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,15 +33,20 @@ from possibly import (
     pignistic,
     possibilistic_evidence,
     probabilistic_evidence,
+    preset,
     product_fuse,
     run,
 )
+from possibly import cli, engine, harness
 from possibly.engine import (
     METRICS,
     _bounded,
     _initial_beliefs,
     _metrics_from_array,
+    _run_levels,
+    _run_steps,
     _sim_step,
+    _sparse,
     lockstep_key,
     run_batch,
 )
@@ -499,6 +506,132 @@ class TestLockstep:
             [run(product)[0].tolist(), run(tiny)[0].tolist()]
 
 
+def advance_both(runs, final_only=False, buffered=False):
+    """The batch runs advanced by _run_steps and by _run_levels, each from
+    streams seeded as run_batch seeds them, which with buffered enter with
+    a buffered half-word: per path the final beliefs' bytes, the metrics'
+    bytes, the degenerate counts and every generator's final state."""
+    shape = runs[0]
+    results = []
+    for advance in (_run_steps, _run_levels):
+        rngs = [fresh_rng(p.seed) for p in runs]
+        if buffered:
+            for g in rngs:
+                g.integers(5)
+        b = _initial_beliefs(shape, len(runs))
+        metrics = np.empty((len(runs), 1 if final_only else shape.steps + 1,
+                            len(METRICS[shape.model])))
+        degenerate = advance(
+            b, shape, np.asarray(EnvironmentSpec.default(shape.states).qualities),
+            np.array([p.rho for p in runs]), np.array([p.sigma for p in runs]),
+            _FrankRows.of([p.theta for p in runs]), rngs, metrics)
+        results.append((b.tobytes(), metrics.tobytes(), degenerate.tolist(),
+                        [stream_state(g) for g in rngs]))
+    return results
+
+
+# (_WINDOW_STEPS, _WINDOW_DRAWS): the defaults, few steps, few draws (one
+# or two steps a window at 100 agents), and one step
+WINDOWS = ((engine._WINDOW_STEPS, engine._WINDOW_DRAWS), (3, 1 << 17),
+           (32, 250), (1, 1))
+
+
+class TestLevels:
+    """_run_levels, which draws a window of steps ahead and fuses its events
+    one dependency level at a time, gives what the _sim_step loop gives, bit
+    for bit: beliefs, metrics in both capture modes, degenerate counts and
+    every generator's final state. Small batches take it in run_batch, so
+    TestLockstep compares it only with itself."""
+
+    @settings(max_examples=100)
+    @given(k=st.one_of(st.integers(2, 8), st.just(100)),
+           n=st.sampled_from((2, 3, 5)),
+           model=st.sampled_from((POSSIBILISTIC, PROBABILISTIC)),
+           fusion=st.booleans(),
+           adoption=st.sampled_from((ADOPT_BOTH, ADOPT_RANDOM_ONE)),
+           mix=st.lists(st.tuples(st.one_of(st.sampled_from((0.0, 0.05, 1.0)),
+                                            st.floats(0.0, 1.0)),
+                                  st.floats(0.0, 3.0)),
+                        min_size=1, max_size=3),
+           steps=st.integers(0, 40), final_only=st.booleans(),
+           buffered=st.booleans(), window=st.sampled_from(WINDOWS),
+           seed=st.integers(0, 2 ** 32), data=st.data())
+    def test_equals_the_step_loop(self, k, n, model, fusion, adoption, mix,
+                                  steps, final_only, buffered, window, seed,
+                                  data):
+        thetas = data.draw(branch_thetas(len(mix)))
+        runs = [SimParams(agents=k, states=n, rho=rho, sigma=sigma, theta=theta,
+                          steps=steps, model=model, seed=seed + r,
+                          fusion_enabled=fusion, fusion_adoption=adoption)
+                for r, ((rho, sigma), theta) in enumerate(zip(mix, thetas))]
+        with mock.patch.multiple(engine, _WINDOW_STEPS=window[0],
+                                 _WINDOW_DRAWS=window[1]):
+            steps_result, levels_result = advance_both(runs, final_only,
+                                                       buffered)
+        assert levels_result == steps_result
+
+    @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
+    @pytest.mark.parametrize("adoption", (ADOPT_BOTH, ADOPT_RANDOM_ONE))
+    @pytest.mark.parametrize("window", WINDOWS[::2])
+    def test_paper_population_over_several_windows(self, model, adoption,
+                                                   window):
+        # two runs of the paper's population, as the trajectory figures
+        # batch them, over 100 steps: 4 windows at the defaults
+        runs = [SimParams(agents=100, states=5, rho=rho, sigma=0.3,
+                          theta=FrankParameter(theta=theta), steps=100,
+                          model=model, seed=seed, fusion_adoption=adoption)
+                for rho, theta, seed in ((0.05, 20.0, 1), (0.2, 3.0, 2))]
+        with mock.patch.multiple(engine, _WINDOW_STEPS=window[0],
+                                 _WINDOW_DRAWS=window[1]):
+            for final_only in (False, True):
+                steps_result, levels_result = advance_both(runs, final_only)
+                assert levels_result == steps_result
+
+    def test_degenerate_resets_match(self):
+        runs = [SimParams(agents=6, states=3, rho=rho, sigma=2.0, theta=THETA20,
+                          steps=300, model=PROBABILISTIC, seed=5)
+                for rho in (1.0, 0.05)]
+        steps_result, levels_result = advance_both(runs)
+        assert levels_result == steps_result
+        assert steps_result[2][0] > 0
+
+
+class TestSelection:
+    """run_batch steps a batch by dependency level when the sum of rho * k
+    over its runs is below _SPARSE_ROWS, and one step at a time otherwise."""
+
+    def test_rule(self):
+        def runs(count, rho):
+            return [params(agents=100, rho=rho, seed=s) for s in range(count)]
+        assert engine._SPARSE_ROWS == 256
+        assert _sparse(runs(51, 0.05))      # 255 rows
+        assert not _sparse(runs(52, 0.05))  # 260 rows
+        assert _sparse(runs(1, 1.0)) and _sparse(runs(3, 0.0))
+        assert not _sparse([params(agents=1000, rho=0.5)])
+
+    def test_benchmark_shapes(self, monkeypatch):
+        called = []
+        for name in ("_run_steps", "_run_levels"):
+            def traced(*args, _name=name, _fn=getattr(engine, name)):
+                called.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(engine, name, traced)
+        # the trajectory workload: each fig8 part's 2 runs in one batch
+        for part in preset("fig8").parts:
+            spec = replace(part.spec, runs=2,
+                           base=replace(part.spec.base, steps=1))
+            run_batch(harness._runs_for(spec))
+        # the large workload: `possibly run`, 2 runs of 1000 agents x 20
+        # states at rho = 0.5
+        for model in (POSSIBILISTIC, PROBABILISTIC):
+            spec = cli.parse_args([
+                "run", "--model", model, "--agents", "1000", "--states", "20",
+                "--evidence-rate", "0.5", "--noise", "0.3", "--theta", "20",
+                "--steps", "1", "--runs", "2", "--seed", "1"]).spec
+            run_batch(harness._runs_for(spec))
+        assert called == ["_run_levels"] * 2 + ["_run_steps"] * 2
+
+
 def stream_state(rng):
     """A generator's full bit_generator.state, arrays as lists."""
     s = rng.bit_generator.state
@@ -636,21 +769,35 @@ class TestHeapFaults:
     # threshold block in run_batch, 411-4250 without it
     MAX_FAULTS = 100
 
-    @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
-    @pytest.mark.parametrize("pad_kb", (0, 8, 20, 32))
-    def test_repeat_batch_takes_few_minor_faults(self, model, pad_kb):
+    @staticmethod
+    def repeat_faults(model, pad_kb, agents, states, rho, steps):
+        """The minor faults of a batch of two runs stepped a second time."""
         import resource  # Unix only, like the skip condition
 
         pad = bytearray(pad_kb * 1024)  # shifts the heap's layout
-        runs = [SimParams(agents=1000, states=20, rho=0.5, sigma=0.3,
-                          theta=THETA20, steps=40, model=model, seed=seed)
+        runs = [SimParams(agents=agents, states=states, rho=rho, sigma=0.3,
+                          theta=THETA20, steps=steps, model=model, seed=seed)
                 for seed in (1, 2)]
         run_batch(runs)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         run_batch(runs)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         del pad
-        assert faults <= self.MAX_FAULTS
+        return faults
+
+    @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
+    @pytest.mark.parametrize("pad_kb", (0, 8, 20, 32))
+    def test_repeat_batch_takes_few_minor_faults(self, model, pad_kb):
+        # stepped one step at a time
+        assert self.repeat_faults(model, pad_kb, 1000, 20, 0.5, 40) \
+            <= self.MAX_FAULTS
+
+    @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
+    @pytest.mark.parametrize("pad_kb", (0, 8, 20, 32))
+    def test_repeat_sparse_batch_takes_few_minor_faults(self, model, pad_kb):
+        # the paper's population, stepped by level in 3 windows
+        assert self.repeat_faults(model, pad_kb, 100, 5, 0.05, 80) \
+            <= self.MAX_FAULTS
 
 
 class TestModelBehaviour:

@@ -574,6 +574,13 @@ class TestWorkerCap:
         collect_finals(SweepSpec(base=tiny_params(steps=1), runs=3), workers=4)
         assert sizes == [3]
 
+    def test_workers_below_one_fail_as_the_option_states(self, sizes):
+        spec = SweepSpec(base=tiny_params(steps=1), runs=2)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match=r"^workers must be >= 1$"):
+                collect_finals(spec, workers=workers)
+        assert sizes == []
+
     def test_one_job_or_one_cpu_runs_serially(self, sizes, monkeypatch):
         collect_finals(SweepSpec(base=tiny_params(steps=1), runs=1), workers=4)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)

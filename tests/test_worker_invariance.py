@@ -4,7 +4,10 @@ and those bytes match tests/worker_invariance.sha256.
 
 Every file depends on parameters that the CLI resolves, and between them
 they cover the random-one, fusion-off, probabilistic and negative-theta
-draw schedules, which the benchmark digests never run.
+draw schedules, which the benchmark digests never run. One invocation's
+batches also fall on both sides of run_batch's choice between stepping by
+dependency level and stepping one step at a time, so its bytes compare the
+two.
 """
 
 import hashlib
@@ -13,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from possibly.cli import main
+from possibly import engine, harness
+from possibly.cli import main, parse_args
 
 PINS = Path(__file__).with_name("worker_invariance.sha256")
 PINNED_NUMPY = "2.4.6"
@@ -59,3 +63,19 @@ def test_bytes_match_at_both_worker_counts_and_the_pin(root, digest, name):
     assert actual == digest, (
         f"{name}: sha256 {actual} != pinned {digest}; the pins hold for "
         f"numpy {PINNED_NUMPY} only, and this is numpy {np.__version__}")
+
+
+def test_an_invocation_steps_its_runs_both_ways():
+    # the runs in one batch at 1 worker, and cut into 2 at 2 workers
+    crossing = []
+    for argv, _ in INVOCATIONS:
+        if argv[0] == "preset":
+            continue
+        runs = harness._runs_for(parse_args(argv).spec)
+        one = {engine._sparse(batch) for batch in harness._batches(runs, 1)}
+        two = {engine._sparse(batch) for batch in harness._batches(runs, 2)}
+        if len(one) == 1 and two - one:
+            crossing.append(" ".join(argv))
+    # sweep evidence-rate 0.1,0.5,0.9 with 5 runs expects 750 evidence rows
+    # per step at 1 worker, and 200 and 550 at 2
+    assert crossing
