@@ -42,12 +42,19 @@ while each draws from its own stream on the schedule above. Every row
 kernel does elementwise or rowwise arithmetic only, so a run's metrics are
 bit-identical whichever batch it is in; run() is the batch of one.
 
-Only the agents that take evidence read the state they investigate, so
-_sim_step computes betting rows (the pignistic transform of a possibility
-distribution; in the probabilistic model the belief itself) and draws
-states for those agents alone, from their beliefs after the pair fusion.
-Both kernels are rowwise and every agent's uniform is still drawn, so each
-of them gets the state, bit for bit, that a draw for every agent gives it.
+Every pair fusion and every agent's evidence goes through one event pass,
+_fuse_events, which fuses a group of events on disjoint agent rows, pairs
+first: it gathers their rows; for the evidence events alone it computes
+betting rows (the pignistic transform of a possibility distribution; in
+the probabilistic model the belief itself), draws states, adds the noise
+to the observed qualities, clamps them into [0, 1] and builds the evidence
+rows; it fuses pairs and evidence in one _fuse_rows or _product_rows call,
+counts each run's degenerate product fusions and writes each fused row to
+the agents that adopt it. _sim_step makes two passes per step, its pairs and then the
+agents that take evidence, which so read their beliefs after the pair
+fusion. The kernels are rowwise and every agent's uniform is still drawn,
+so each agent gets the state, bit for bit, that a draw for every agent
+gives it.
 
 Which agents a step touches, the fused pair and the agents whose success
 uniform falls below rho, is fixed by the draws and not by the beliefs. So a
@@ -60,14 +67,18 @@ its runs) fall below _SPARSE_ROWS, is stepped by dependency level
   the highest level of any agent it reads or writes, and gives that level to
   those agents. A step's pair comes before its evidence, so an adopter's
   evidence waits one level; events that share a level touch disjoint agents;
-- each level is one pass of the row kernels over all of its events, of many
-  steps and runs: betting rows, states and evidence rows for its evidence
-  events, then one _fuse_rows or _product_rows call for its pairs and
-  evidence rows together. Every kernel is rowwise, so each event gets the
-  bits that the step loop gives it;
-- each step's metrics are rebuilt from per-agent columns (the last state's
-  degree, and the largest of the others), advanced by the window's writes in
-  step order and reduced over agents as _metrics_from_array reduces them.
+- each level is one event pass over all of its events, of many steps and
+  runs. Every kernel is rowwise, so each event gets the bits that the step
+  loop gives it;
+- each step's metrics are rebuilt from per-agent columns, advanced by the
+  window's writes in step order.
+
+An agent's metric columns (_metric_columns: its last degree, and in the
+possibilistic model 1 - the largest of its others) and their mean over
+each run's agents (_agent_means) are stated once, for _metrics_from_array
+and the level path alike. run_batch writes step 0's metrics, or with final
+capture the last step's alone; with trajectory capture either path writes
+those of steps 1 to steps.
 
 At the paper's population (100 agents, 5 states, rho = 0.05) a step of one
 or two runs fuses about a dozen rows in some 140 numpy calls, and a window
@@ -101,7 +112,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import EnvironmentSpec, _evidence_rows
+from .environment import (
+    EnvironmentSpec,
+    _clamp_observations,
+    _evidence_rows,
+)
 from .possibility import (
     FrankParameter,
     _frank_branch,
@@ -285,8 +300,9 @@ def _draw_step(rngs: Sequence[np.random.Generator], params: SimParams,
                pairs: list, u: np.ndarray, eps: np.ndarray) -> None:
     """Every run's draws for one step, in its stream's order: with fusion,
     a pair of distinct agents, uniform over ordered and hence unordered
-    pairs (j is shifted past i), and with random-one adoption the adopter,
-    appended to pairs as (i, j, adopter); then the state and success
+    pairs (j is shifted past i), appended to the flat list pairs as i, j
+    and the two agents that adopt the fused belief: i and j, or with
+    random-one adoption the one drawn, twice; then the state and success
     uniforms into u, (R, 2, k), and the normals into eps, (R, k)."""
     k = params.agents
     random_one = params.fusion_adoption == ADOPT_RANDOM_ONE
@@ -296,79 +312,115 @@ def _draw_step(rngs: Sequence[np.random.Generator], params: SimParams,
             i = _bounded(bits, k)
             j = _bounded(bits, k - 1)
             j += j >= i
-            pairs.append((i, j, (i, j)[_bounded(bits, 2)] if random_one else i))
+            pairs.extend((i, j) + ((i, j)[_bounded(bits, 2)],) * 2
+                         if random_one else (i, j, i, j))
         rng.random(out=u[r])
         rng.standard_normal(out=eps[r])
+
+
+def _fuse_events(rows_b: np.ndarray, possibilistic: bool,
+                 qualities: np.ndarray, theta: _FrankRows,
+                 degenerate: np.ndarray, run: np.ndarray, events: Sequence,
+                 pairs: int, u_state: np.ndarray | None = None,
+                 noise: np.ndarray | None = None) -> np.ndarray:
+    """The event pass: fuse one group of events on disjoint agent rows of
+    rows_b, the (R * k, n) beliefs, in place, and return the fused rows in
+    event order. The first `pairs` events are pair fusions, the rest
+    evidence; run holds each event's run. events holds four rows of agent
+    rows: per event the one it reads, its partner's (read by a pair fusion
+    alone), and the two it writes (a pair's adopters; an evidence event's
+    own row). An evidence event's agent draws a state from its betting row
+    with its uniform in u_state and observes that state's quality plus its
+    term in noise, clamped into [0, 1]. Each run's degenerate product
+    fusions are added to degenerate."""
+    x = rows_b[events[0]]
+    y = rows_b[events[1][:pairs]] if pairs else None
+    if pairs < len(x):
+        ev = x[pairs:]
+        si = _draw_states_rows(_pignistic_rows(ev) if possibilistic else ev,
+                               u_state)
+        ev = _evidence_rows(possibilistic, x.shape[1], si,
+                            _clamp_observations(qualities[si] + noise))
+        y = ev if y is None else np.concatenate((y, ev))
+    if possibilistic:
+        fused = _fuse_rows(theta.take(run), x, y)
+    else:
+        fused, bad = _product_rows(x, y)
+        if bad.any():
+            degenerate += np.bincount(run[bad], minlength=degenerate.size)
+    rows_b[events[2]] = fused
+    if pairs:
+        rows_b[events[3][:pairs]] = fused[:pairs]
+    return fused
 
 
 def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
               rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
               rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Advance R same-shape populations, a (R, k, n) array, one step in
-    place. params gives the shared shape; rho, sigma, theta (an (R, 1)
+    place: one event pass for the pairs, then one for the agents that take
+    evidence. params gives the shared shape; rho, sigma, theta (an (R, 1)
     column, or a scalar when all runs share it) and rngs hold one entry
-    per run. Betting rows and states are computed for the agents that take
-    evidence alone (see the module docstring). Returns each run's number of
-    degenerate product fusions."""
+    per run. Returns each run's number of degenerate product fusions."""
     r_count, k, n = b.shape
     possibilistic = params.model == POSSIBILISTIC
     degenerate = np.zeros(r_count, dtype=np.int64)
-    run_rows = np.arange(r_count)
+    # the R populations as R*k agent rows (a view, so writes land in b)
+    rows_b = b.reshape(r_count * k, n)
 
-    pairs = []  # i, j, adopter per run
+    pairs = []  # i, j and the two adopters per run
     u = np.empty((r_count, 2, k))  # state, then success uniforms
     eps = np.empty((r_count, k))
     _draw_step(rngs, params, pairs, u, eps)
-    u_state, u_succ = u[:, 0], u[:, 1]
 
     if params.fusion_enabled:
-        pairs = np.array(pairs)
-        bi, bj = b[run_rows, pairs[:, 0]], b[run_rows, pairs[:, 1]]
-        if possibilistic:
-            fused = _fuse_rows(theta, bi, bj)
-        else:
-            fused, bad = _product_rows(bi, bj)
-            degenerate += bad
-        adopters = (run_rows[:, None],
-                    pairs[:, :2] if params.fusion_adoption == ADOPT_BOTH
-                    else pairs[:, 2:])
-        b[adopters] = fused[:, None]
-
-    # the R populations as R*k agent rows (a view, so writes land in b)
-    rows_b = b.reshape(r_count * k, n)
-    rows = (u_succ < rho[:, None]).ravel().nonzero()[0]
+        run = np.arange(r_count)
+        # as rows of the R * k agent rows
+        pairs = np.array(pairs, dtype=np.intp).reshape(r_count, 4)
+        pairs += (run * k)[:, None]
+        _fuse_events(rows_b, possibilistic, qualities, theta, degenerate, run,
+                     pairs.T, r_count)
+    rows = (u[:, 1] < rho[:, None]).ravel().nonzero()[0]
     if rows.size:
-        runs = rows // k  # the run of each row that took evidence
-        x = rows_b[rows]
-        si = _draw_states_rows(_pignistic_rows(x) if possibilistic else x,
-                               u_state.reshape(-1)[rows])
-        qhat = qualities[si] + sigma[runs] * eps.reshape(-1)[rows]
-        np.minimum(np.maximum(qhat, 0.0, out=qhat), 1.0, out=qhat)
-        ev = _evidence_rows(possibilistic, n, si, qhat)
-        if possibilistic:
-            rows_b[rows] = _fuse_rows(theta.take(runs), x, ev)
-        else:
-            rows_b[rows], bad = _product_rows(x, ev)
-            if bad.any():
-                degenerate += np.bincount(runs[bad], minlength=r_count)
+        run = rows // k  # the run of each row that takes evidence
+        # row r * k + a's state uniform is u's flat entry r * 2k + a
+        _fuse_events(rows_b, possibilistic, qualities, theta, degenerate, run,
+                     (rows,) * 4, 0, u.reshape(-1)[rows + run * k],
+                     sigma[run] * eps.reshape(-1)[rows])
     return degenerate
+
+
+def _metric_columns(rows: np.ndarray, model: str) -> np.ndarray:
+    """The METRICS[model] columns of each belief row of rows, (..., n),
+    before the agent mean, as an (m, ...) array: the row's last degree
+    (in the probabilistic model a view of rows), then in the possibilistic
+    model 1 - the largest of its others."""
+    if model == PROBABILISTIC:
+        return rows[None, ..., -1]
+    columns = np.empty((2,) + rows.shape[:-1])
+    columns[0] = rows[..., -1]
+    # max is exact, so a running max over the columns equals max(axis=-1)
+    top = columns[1]
+    top[...] = rows[..., 0]
+    for s in range(1, rows.shape[-1] - 1):
+        np.maximum(top, rows[..., s], out=top)
+    np.subtract(1.0, top, out=top)
+    return columns
+
+
+def _agent_means(columns: np.ndarray) -> np.ndarray:
+    """The agent means of metric columns, (..., m, R, k), as an (..., R, m)
+    view: per run and column a sum over its agents, then one division, as
+    ndarray.mean takes them."""
+    sums = np.add.reduce(columns, axis=-1)
+    sums /= columns.shape[-1]
+    return sums.swapaxes(-1, -2)
 
 
 def _metrics_from_array(b: np.ndarray, model: str) -> np.ndarray:
     """The METRICS[model] columns of each population of a (R, k, n) array,
     as an (R, m) array."""
-    r_count, k, n = b.shape
-    out = np.empty((r_count, len(METRICS[model])))
-    # agent means as ndarray.mean takes them: a sum, then one division
-    np.add.reduce(b[:, :, -1], axis=1, out=out[:, 0])
-    if model == POSSIBILISTIC:
-        # max is exact, so a running max over the columns equals max(axis=2)
-        top = b[:, :, 0].copy()
-        for s in range(1, n - 1):
-            np.maximum(top, b[:, :, s], out=top)
-        np.add.reduce(np.subtract(1.0, top, out=top), axis=1, out=out[:, 1])
-    out /= k
-    return out
+    return _agent_means(_metric_columns(b, model))
 
 
 def _sparse(runs: Sequence[SimParams]) -> bool:
@@ -382,18 +434,16 @@ def _run_steps(b: np.ndarray, params: SimParams, qualities: np.ndarray,
                rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
                rngs: Sequence[np.random.Generator],
                metrics: np.ndarray) -> np.ndarray:
-    """Run the batch b to params.steps one _sim_step at a time, writing
-    every step's metrics, or with one metrics row the last step's alone,
-    into metrics. Returns each run's degenerate fusion count."""
-    final_only = metrics.shape[1] == 1
+    """Run the batch b to params.steps one _sim_step at a time, writing the
+    metrics of steps 1 to params.steps into metrics, an (R, steps, m)
+    view, unless it holds no steps. Returns each run's degenerate fusion
+    count."""
+    trajectory = metrics.shape[1] > 0
     degenerate = np.zeros(b.shape[0], dtype=np.int64)
-    for t in range(params.steps + 1):
-        if t:
-            degenerate += _sim_step(b, params, qualities, rho, sigma, theta,
-                                    rngs)
-        if not final_only or t == params.steps:
-            metrics[:, -1 if final_only else t] = _metrics_from_array(
-                b, params.model)
+    for t in range(params.steps):
+        degenerate += _sim_step(b, params, qualities, rho, sigma, theta, rngs)
+        if trajectory:
+            metrics[:, t] = _metrics_from_array(b, params.model)
     return degenerate
 
 
@@ -406,18 +456,11 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     r_count, k, n = b.shape
     rk = r_count * k
     possibilistic = params.model == POSSIBILISTIC
-    fusion = params.fusion_enabled
-    random_one = params.fusion_adoption == ADOPT_RANDOM_ONE
-    trajectory = metrics.shape[1] > 1
+    trajectory = metrics.shape[1] > 0
     rows_b = b.reshape(rk, n)
     degenerate = np.zeros(r_count, dtype=np.int64)
-    if trajectory:
-        metrics[:, 0] = _metrics_from_array(b, params.model)
-        # each agent's METRICS columns: its last degree, then the largest
-        # of its others
-        columns = [rows_b[:, -1].copy()]
-        if possibilistic:
-            columns.append(rows_b[:, :-1].max(axis=1))
+    if trajectory:  # a copy: _window_metrics advances it in place
+        columns = _metric_columns(rows_b, params.model).copy()
     span = max(1, min(params.steps, _WINDOW_STEPS, _WINDOW_DRAWS // rk))
     u = np.empty((span, r_count, 2, k))  # state, then success uniforms
     eps = np.empty((span, r_count, k))
@@ -429,11 +472,12 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
         w = min(span, params.steps - t0)
 
         # every run's draws for the window, step by step; pairs[t, r]
-        # holds the rows i, j and the adopter of run r's pair at step t
+        # holds the rows i and j and the two adopters of run r's pair at
+        # step t
         pairs = []
         for t in range(w):
             _draw_step(rngs, params, pairs, u[t], eps[t])
-        pairs = np.array(pairs, dtype=np.intp).reshape(w, -1, 3)
+        pairs = np.array(pairs, dtype=np.intp).reshape(w, -1, 4)
         pairs += run_base[:pairs.shape[1], None]  # no runs without fusion
         # evidence event f is agent row f % rk at step f // rk
         f = (u[:w, :, 1] < rho[:, None]).ravel().nonzero()[0]
@@ -447,7 +491,7 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
         pair_level = np.empty(pairs.shape[:2], dtype=level_type)
         e_level = np.empty(f.size, dtype=level_type)
         for t in range(w):
-            if fusion:
+            if params.fusion_enabled:
                 i, j, level = pairs[t, :, 0], pairs[t, :, 1], pair_level[t]
                 np.maximum(agent_level[i], agent_level[j], out=level)
                 level += 1
@@ -460,90 +504,67 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
 
         # the events (pairs, then evidence) sorted by level, stably so
         # that each level's pairs come first (numpy sorts 8- and 16-bit
-        # integers by radix); per event the rows
-        # it reads as x and y (y unused by evidence), the row it writes
-        # and its run, and per evidence event its state uniform, at flat
-        # index 2f - f % k of u, and its noise term
-        pairs = pairs.reshape(-1, 3)
+        # integers by radix); per event its four rows for _fuse_events (a
+        # pair's i, j and adopters, an evidence event's own row four
+        # times) and its run, and per evidence event its state uniform, at
+        # flat index 2f - f % k of u, and its noise term
+        pairs = pairs.reshape(-1, 4)
         levels = np.concatenate((pair_level.ravel(), e_level))
         by_level = levels.argsort(kind="stable")
-        ends = np.cumsum(np.bincount(levels, minlength=1))
-        level_pairs = np.bincount(pair_level.ravel(), minlength=ends.size)
-        row_x = np.concatenate((pairs[:, 0], e_row))[by_level]
-        row_y = np.concatenate((pairs[:, 1], e_row))[by_level]
-        written = np.concatenate(
-            (pairs[:, 2 if random_one else 0], e_row))[by_level]
-        run = row_x // k
+        ends = np.cumsum(np.bincount(levels, minlength=1)).tolist()
+        level_pairs = np.bincount(pair_level.ravel(),
+                                  minlength=len(ends)).tolist()
+        events = np.empty((4, levels.size), dtype=np.intp)
+        events[:, :len(pairs)] = pairs.T
+        events[:, len(pairs):] = e_row
+        events = events.take(by_level, axis=1)
+        run = events[0] // k
         pad = np.zeros(len(pairs))
         u_state = np.concatenate(
             (pad, u[:w].reshape(-1)[2 * f - f % k]))[by_level]
         noise = np.concatenate(
             (pad, sigma[e_row // k] * eps[:w].reshape(-1)[f]))[by_level]
         if trajectory:
-            values = [np.empty(levels.size) for _ in columns]
+            values = np.empty((len(columns), levels.size))
 
-        for lv in range(1, ends.size):
+        for lv in range(1, len(ends)):
             start, stop = ends[lv - 1], ends[lv]
             cut = start + level_pairs[lv]  # the level's first evidence event
-            x = rows_b[row_x[start:stop]]
-            y = rows_b[row_y[start:stop]]  # evidence rows replaced below
-            if cut < stop:
-                ev = x[cut - start:]
-                si = _draw_states_rows(_pignistic_rows(ev) if possibilistic
-                                       else ev, u_state[cut:stop])
-                qhat = qualities[si] + noise[cut:stop]
-                np.minimum(np.maximum(qhat, 0.0, out=qhat), 1.0, out=qhat)
-                y[cut - start:] = _evidence_rows(possibilistic, n, si, qhat)
-            runs = run[start:stop]
-            if possibilistic:
-                fused = _fuse_rows(theta.take(runs), x, y)
-            else:
-                fused, bad = _product_rows(x, y)
-                if bad.any():
-                    degenerate += np.bincount(runs[bad], minlength=r_count)
-            rows_b[written[start:stop]] = fused
-            if not random_one and cut > start:
-                rows_b[row_y[start:cut]] = fused[:cut - start]
+            fused = _fuse_events(rows_b, possibilistic, qualities, theta,
+                                 degenerate, run[start:stop],
+                                 events[:, start:stop], level_pairs[lv],
+                                 u_state[cut:stop], noise[cut:stop])
             if trajectory:
-                ids = by_level[start:stop]
-                values[0][ids] = fused[:, -1]
-                if possibilistic:
-                    values[1][ids] = fused[:, :-1].max(axis=1)
+                values[:, by_level[start:stop]] = _metric_columns(
+                    fused, params.model)
 
         if trajectory:
-            _window_metrics(metrics[:, t0 + 1:t0 + w + 1], columns, values,
-                            pairs.reshape(w, -1, 3), e_row, e_ends,
-                            random_one)
-    if not trajectory:
-        metrics[:, 0] = _metrics_from_array(b, params.model)
+            _window_metrics(metrics[:, t0:t0 + w], columns, values,
+                            pairs.reshape(w, -1, 4), e_row, e_ends)
     return degenerate
 
 
-def _window_metrics(out: np.ndarray, columns: list, values: list,
-                    pairs: np.ndarray, e_row: np.ndarray, e_ends: np.ndarray,
-                    random_one: bool) -> None:
+def _window_metrics(out: np.ndarray, columns: np.ndarray,
+                    values: np.ndarray, pairs: np.ndarray, e_row: np.ndarray,
+                    e_ends: np.ndarray) -> None:
     """A window's per-step metrics, written into out, an (R, w, m) view.
-    columns holds each agent's METRICS columns before the window, values
-    the same per event, in event order; the columns are advanced step by
-    step in place, and each step's are reduced over agents as
-    _metrics_from_array reduces them."""
-    r_count, w, _ = out.shape
-    written = pairs[:, :, 2:] if random_one else pairs[:, :, :2]
+    columns holds the agents' metric columns before the window, (m, R * k),
+    values the same per event, (m, events), in event order; the columns
+    are advanced step by step in place, and the window's steps are reduced
+    by one _agent_means call."""
+    r_count, w, m = out.shape
     n_pairs = pairs.shape[0] * pairs.shape[1]
-    pair_values = [v[:n_pairs].reshape(w, -1, 1) for v in values]
-    e_values = [v[n_pairs:] for v in values]
-    scratch = np.empty(columns[0].size)
+    adopters = pairs[:, :, 2:]
+    pair_values = values[:, :n_pairs].reshape(m, w, -1, 1)
+    e_values = values[:, n_pairs:]
+    steps = np.empty((w,) + columns.shape)
     for t in range(w):
+        # the pair first: an adopter's evidence in the same step follows
+        columns[:, adopters[t]] = pair_values[:, t]
         step = slice(e_ends[t], e_ends[t + 1])
-        for c, column in enumerate(columns):
-            # the pair first: an adopter's evidence in the same step follows
-            column[written[t]] = pair_values[c][t]
-            column[e_row[step]] = e_values[c][step]
-            if c:  # 1 - the largest other degree
-                column = np.subtract(1.0, column, out=scratch)
-            np.add.reduce(column.reshape(r_count, -1), axis=1,
-                          out=out[:, t, c])
-    out /= columns[0].size // r_count
+        columns[:, e_row[step]] = e_values[:, step]
+        steps[t] = columns
+    out[:] = _agent_means(steps.reshape(w, m, r_count, -1)).swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +616,11 @@ def run_batch(runs: Sequence[SimParams],
     b = _initial_beliefs(shape, len(runs))
     metrics = np.empty((len(runs), 1 if final_only else shape.steps + 1,
                         len(METRICS[shape.model])))
+    if not final_only:
+        metrics[:, 0] = _metrics_from_array(b, shape.model)
     advance = _run_levels if _sparse(runs) else _run_steps
-    degenerate = advance(b, shape, qualities, rho, sigma, theta, rngs, metrics)
+    degenerate = advance(b, shape, qualities, rho, sigma, theta, rngs,
+                         metrics[:, 1:])
+    if final_only:
+        metrics[:, 0] = _metrics_from_array(b, shape.model)
     return metrics, degenerate

@@ -91,7 +91,14 @@ def sample_quality(env: EnvironmentSpec, noise: NoiseSpec, i: int,
     if not 1 <= i <= env.n:
         raise ValueError(f"state index {i} outside 1..{env.n}")
     eps = rng.standard_normal()
-    return float(np.clip(env.qualities[i - 1] + noise.sigma * eps, 0.0, 1.0))
+    return float(_clamp_observations(
+        np.asarray(env.qualities[i - 1] + noise.sigma * eps)))
+
+
+def _clamp_observations(qhat: np.ndarray) -> np.ndarray:
+    """Noisy quality observations clamped into [0, 1], in place."""
+    np.maximum(qhat, 0.0, out=qhat)
+    return np.minimum(qhat, 1.0, out=qhat)
 
 
 def _evidence_rows(possibilistic: bool, n: int, si: np.ndarray,

@@ -194,7 +194,8 @@ def histogram(samples, bins: int = HISTOGRAM_BINS) -> tuple[tuple[float, int], .
     if bins < 1:
         raise ValueError("bins must be >= 1")
     arr = np.asarray(tuple(samples), dtype=float)
-    if arr.size and (arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9):
+    # NaN fails both tests: min and max propagate it
+    if arr.size and not (arr.min() >= -1e-9 and arr.max() <= 1.0 + 1e-9):
         raise ValueError("samples must lie in [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     # direct multiply-and-floor keeps the emitted edges exactly i/bins,

@@ -345,8 +345,10 @@ def necessity_measure(pi: PossibilityDistribution, a: StateSubset) -> float:
 # Fusion
 # ---------------------------------------------------------------------------
 
-def _fuse_rows(param: FrankParameter, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise normalised t-norm fusion of (m, n) blocks of degree rows.
+def _fuse_rows(param: FrankParameter | _FrankRows, a: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """Rowwise normalised t-norm fusion of (m, n) blocks of degree rows,
+    with one theta for all rows or, from a _FrankRows column, one per row.
 
     Returns rows with max exactly 1: the pointwise t-norm plus (1 - row max).
     The argmax entry is snapped to 1.0 because a + (1 - a) can round one ulp

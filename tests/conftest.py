@@ -37,13 +37,17 @@ def record_criterion(number: int, label: str, passed: bool, detail: str = ""):
     ACCEPTANCE_RESULTS[number] = (label, bool(passed), detail)
 
 
+def criterion_line(number: int) -> str:
+    """A recorded criterion's summary line, as the terminal summary prints
+    it and tests/acceptance_expected.txt pins it."""
+    label, ok, detail = ACCEPTANCE_RESULTS[number]
+    line = f"criterion {number} ({label}): {'PASS' if ok else 'FAIL'}"
+    return f"{line} -- {detail}" if detail else line
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_RESULTS:
         return
     terminalreporter.section("acceptance criteria")
     for number in sorted(ACCEPTANCE_RESULTS):
-        label, ok, detail = ACCEPTANCE_RESULTS[number]
-        line = f"criterion {number} ({label}): {'PASS' if ok else 'FAIL'}"
-        if detail:
-            line += f" -- {detail}"
-        terminalreporter.write_line(line)
+        terminalreporter.write_line(criterion_line(number))

@@ -3,16 +3,18 @@ pass/fail summary line with the measured values.
 
 Simulation-backed criteria share run sets where their configurations
 coincide (the noisy low-evidence trajectories feed criteria 5, 6, and 7),
-so the whole gate stays within a desk-scale runtime budget.
+so the whole gate stays within a desk-scale runtime budget. The last test
+checks the nine summary lines against tests/acceptance_expected.txt.
 """
 
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import record_criterion
+from conftest import ACCEPTANCE_RESULTS, criterion_line, record_criterion
 
 from possibly import (
     METRICS,
@@ -483,3 +485,20 @@ def test_criterion_9_property_suites(tmp_path):
           f"failures per sub-suite: {fail_counts or 'none'}; "
           f"duality failures {duality_bad}; determinism "
           f"{'ok' if deterministic else 'BROKEN'}; {limit_note}")
+
+
+EXPECTED_LINES = Path(__file__).with_name("acceptance_expected.txt")
+PINNED_NUMPY = "2.4.6"
+
+
+def test_criterion_lines_match_the_pin():
+    # runs after the nine criteria, so a value that moves fails here even
+    # where its criterion still passes or still fails
+    if len(ACCEPTANCE_RESULTS) < 9:
+        pytest.skip("needs all nine criteria recorded, as in a run of the "
+                    "whole file")
+    got = [criterion_line(number) for number in sorted(ACCEPTANCE_RESULTS)]
+    expected = EXPECTED_LINES.read_text(encoding="utf-8").splitlines()
+    assert got == expected, (
+        f"the criterion lines differ from {EXPECTED_LINES.name}, which holds "
+        f"for numpy {PINNED_NUMPY} only (this is numpy {np.__version__})")

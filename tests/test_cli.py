@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -311,6 +313,15 @@ class TestExample:
         assert main(["example"]) == 0
         out = capsys.readouterr().out
         assert "fused = 0.6209, 1.0000, 0.9209" in out
+
+    def test_module_entry_point(self):
+        # the `python -m possibly.cli` entry point, in a fresh interpreter
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run([sys.executable, "-m", "possibly.cli", "example"],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == cmd_example() + "\n"
 
 
 class TestMainEndToEnd:

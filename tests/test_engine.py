@@ -521,10 +521,16 @@ def advance_both(runs, final_only=False, buffered=False):
         b = _initial_beliefs(shape, len(runs))
         metrics = np.empty((len(runs), 1 if final_only else shape.steps + 1,
                             len(METRICS[shape.model])))
+        # step 0's metrics, or with final_only the last step's alone, as
+        # run_batch writes them
+        if not final_only:
+            metrics[:, 0] = _metrics_from_array(b, shape.model)
         degenerate = advance(
             b, shape, np.asarray(EnvironmentSpec.default(shape.states).qualities),
             np.array([p.rho for p in runs]), np.array([p.sigma for p in runs]),
-            _FrankRows.of([p.theta for p in runs]), rngs, metrics)
+            _FrankRows.of([p.theta for p in runs]), rngs, metrics[:, 1:])
+        if final_only:
+            metrics[:, 0] = _metrics_from_array(b, shape.model)
         results.append((b.tobytes(), metrics.tobytes(), degenerate.tolist(),
                         [stream_state(g) for g in rngs]))
     return results
@@ -586,6 +592,33 @@ class TestLevels:
             for final_only in (False, True):
                 steps_result, levels_result = advance_both(runs, final_only)
                 assert levels_result == steps_result
+
+    @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
+    def test_event_counts_match(self, model, monkeypatch):
+        # every pair fusion and evidence event goes through _fuse_events on
+        # either path: count them per run by patching it
+        runs = [SimParams(agents=10, states=3, rho=rho, sigma=0.3,
+                          theta=THETA20, steps=60, model=model, seed=seed)
+                for rho, seed in ((0.05, 1), (0.5, 2), (1.0, 3))]
+        fuse_events = engine._fuse_events
+
+        def counted(*args):
+            run, pairs = args[5], args[7]  # pair fusions come first
+            counts[0] += np.bincount(run[:pairs], minlength=len(runs))
+            counts[1] += np.bincount(run[pairs:], minlength=len(runs))
+            return fuse_events(*args)
+
+        monkeypatch.setattr(engine, "_fuse_events", counted)
+        per_path = []  # the step loop, then the level path
+        for sparse in (False, True):
+            counts = np.zeros((2, len(runs)), dtype=np.int64)
+            monkeypatch.setattr(engine, "_sparse", lambda _, s=sparse: s)
+            metrics = run_batch(runs)[0]
+            per_path.append((counts.tolist(), metrics.tobytes()))
+        assert per_path[0] == per_path[1]
+        pairs, evidence = counts
+        assert pairs.tolist() == [60] * 3
+        assert 0 < evidence[0] < evidence[1] < evidence[2] == 600
 
     def test_degenerate_resets_match(self):
         runs = [SimParams(agents=6, states=3, rho=rho, sigma=2.0, theta=THETA20,

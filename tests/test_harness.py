@@ -108,8 +108,9 @@ class TestHistogram:
     def test_validation(self):
         with pytest.raises(ValueError):
             histogram([0.5], bins=0)
-        with pytest.raises(ValueError):
-            histogram([1.5], bins=4)
+        for bad in (1.5, np.nan):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                histogram([bad], bins=4)
 
 
 class TestSweepSpec:

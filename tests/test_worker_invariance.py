@@ -1,6 +1,6 @@
-"""The byte contract: CI's worker-invariance invocations, run in process
-through cli.main at 1 and 2 workers, write the same bytes at both counts,
-and those bytes match tests/worker_invariance.sha256.
+"""The byte contract: nine `possibly` invocations, run in process through
+cli.main at 1 and 2 workers, write the same bytes at both counts, and
+those bytes match tests/worker_invariance.sha256.
 
 Every file depends on parameters that the CLI resolves, and between them
 they cover the random-one, fusion-off, probabilistic and negative-theta
@@ -23,7 +23,7 @@ PINS = Path(__file__).with_name("worker_invariance.sha256")
 PINNED_NUMPY = "2.4.6"
 
 COMMON = ["--seed", "3", "--steps", "50", "--noise", "0.3"]
-# argv and its --out below out-w<workers>, as in the CI step
+# argv and its --out below out-w<workers>
 INVOCATIONS = [
     (["sweep", "evidence-rate", "0.1,0.5,0.9", *COMMON, "--runs", "5"], ""),
     (["sweep", "theta", "0.1,1,10,100", *COMMON, "--runs", "3"], ""),
