@@ -336,8 +336,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except (ValueError, OSError, BrokenExecutor, MemoryError) as exc:
         # a pool worker that dies breaks the pool before its part's CSV is
-        # written; numpy's MemoryError names the allocation it could not make
-        print(f"error: {exc}", file=sys.stderr)
+        # written; numpy's MemoryError names the allocation it could not
+        # make, and Python's has no message
+        message = str(exc)
+        if not message and isinstance(exc, MemoryError):
+            message = "out of memory"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -62,16 +62,20 @@ sparse batch, whose expected evidence rows per step (the sum of rho * k over
 its runs) fall below _SPARSE_ROWS, is stepped by dependency level
 (_run_levels) rather than one _sim_step at a time (_run_steps):
 
-- a window of steps is drawn ahead, every run on the schedule above;
+- the steps are drawn a chunk at a time, every run on the schedule above;
 - each event, a pair fusion or one agent's evidence, gets a level one past
   the highest level of any agent it reads or writes, and gives that level to
   those agents. A step's pair comes before its evidence, so an adopter's
   evidence waits one level; events that share a level touch disjoint agents;
-- each level is one event pass over all of its events, of many steps and
-  runs. Every kernel is rowwise, so each event gets the bits that the step
-  loop gives it;
+- a level window gathers the events of consecutive chunks, whose levels
+  run on across them, until the run ends or the next chunk would take it
+  past _WINDOW_EVENTS events; the agents' levels restart at 0 with each
+  window;
+- each level of a window is one event pass over all of its events, of many
+  steps and runs. Every kernel is rowwise, so each event gets the bits that
+  the step loop gives it;
 - each step's metrics are rebuilt from per-agent columns, advanced by the
-  window's writes in step order.
+  window's writes in step order, one chunk at a time.
 
 An agent's metric columns (_metric_columns: its last degree, and in the
 possibilistic model 1 - the largest of its others) and their mean over
@@ -81,21 +85,31 @@ capture the last step's alone; with trajectory capture either path writes
 those of steps 1 to steps.
 
 At the paper's population (100 agents, 5 states, rho = 0.05) a step of one
-or two runs fuses about a dozen rows in some 140 numpy calls, and a window
-of 32 steps of 2 runs takes about 8 passes instead of 64. The constants, as
-measured on a 2-vCPU host (time by level over time step by step, at 100
-agents and 5 states, both models and both capture modes):
+or two runs fuses about a dozen rows in some 140 numpy calls. Fig8's
+possibilistic batch, 2 runs of 750 steps, holds 8,999 events: one level
+window takes them in 107 passes, where level windows of one 32-step chunk
+would take 196 and the step loop takes 1,500. The constants, as measured on a 2-vCPU
+host (time by level over time step by step, at 100 agents and 5 states,
+both models and both capture modes, medians of 15-21 alternations of
+200 steps):
 
-- _SPARSE_ROWS = 256 sits at the crossover: 2 runs at rho = 0.05 (10 rows)
-  take 0.42-0.56; 50 runs (250 rows) 0.85-0.99; 60 runs (300 rows)
-  0.87-0.93; 100 runs (500 rows) 0.97-1.08; 3 runs at rho = 1 (300 rows),
-  where every agent takes evidence every step, 0.87-1.17.
-- _WINDOW_STEPS = 32: passes per step fall with the window and level off;
-  2 possibilistic runs with trajectories take 0.51, 0.44, 0.40 and 0.39
-  with windows of 16, 32, 64 and 128 steps, while the draws held grow.
-- _WINDOW_DRAWS = 2**17 caps a window's draws, 24 bytes per agent and
-  step, at 3 MiB where runs or agents are many (26 steps at 50 runs of 100
-  agents); 32 steps of 2 runs draw 150 kB.
+- _SPARSE_ROWS = 256 sits at or below the crossover: 2 runs at rho = 1
+  (200 rows), where every agent takes evidence every step, take 0.84-1.01
+  of the step loop's time (two series), and 1 run of 250 agents
+  0.83-1.00; 50 runs at rho = 0.05 (250 rows) 0.84-0.94; 60 runs (300
+  rows) 0.88-0.98; 3 runs at rho = 1 (300 rows) 0.92-1.05; 100 runs
+  (500 rows) 0.93-1.02.
+- _WINDOW_STEPS = 32 and _WINDOW_DRAWS = 2**17 size a chunk of draws, 24
+  bytes per agent and step: 3 MiB at most where runs or agents are many
+  (26 steps at 50 runs of 100 agents), 150 kB for 32 steps of 2 runs.
+  Level windows span chunks, so a chunk's size leaves the passes alone:
+  fig8's batch takes 107 passes with chunks of 8 to 128 steps.
+- _WINDOW_EVENTS = 2**15 caps a level window's arrays, about 125 bytes
+  per event, at about 4 MB. Fig8's batch fits in one window
+  (2**12 events take 112 passes, 2**13 108); 50 runs at rho = 0.05 hold
+  about 300 events per step, and take 109, 80, 66 and 52 passes per 300
+  steps with caps of 2**13, 2**14, 2**15 and 2**17, at times that the
+  host's noise (about 10%) does not tell apart.
 
 A batch's metrics are one (R, steps + 1, m) array whose last axis holds the
 METRICS[model] columns, in that order, and its degenerate product fusions
@@ -113,8 +127,8 @@ from typing import Sequence
 import numpy as np
 
 from .environment import (
-    EnvironmentSpec,
     _clamp_observations,
+    _default_qualities,
     _evidence_rows,
 )
 from .possibility import (
@@ -150,11 +164,13 @@ _LOW32 = _TWO32 - 1
 
 # run_batch steps a batch by dependency level when its expected evidence
 # rows per step, the sum of rho * k over its runs, fall below this; the
-# steps that one window draws ahead, and the most agent steps (R * k per
-# step) that it may draw. The module docstring gives their measurements.
+# steps that one chunk draws ahead, and the most agent steps (R * k per
+# step) that it may draw; and the events at which a level window ends, at
+# a chunk's end. The module docstring gives their measurements.
 _SPARSE_ROWS = 256
 _WINDOW_STEPS = 32
 _WINDOW_DRAWS = 1 << 17
+_WINDOW_EVENTS = 1 << 15
 
 # The metric columns of each model: the agent averages of Pi({s_n}) and
 # N({s_n}), or of p(s_n).
@@ -464,69 +480,47 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     span = max(1, min(params.steps, _WINDOW_STEPS, _WINDOW_DRAWS // rk))
     u = np.empty((span, r_count, 2, k))  # state, then success uniforms
     eps = np.empty((span, r_count, k))
-    # a step raises the highest level by at most 2, so 2 * span fits
-    level_type = np.min_scalar_type(2 * span)
-    agent_level = np.empty(rk, dtype=level_type)
-    run_base = np.arange(r_count) * k
-    for t0 in range(0, params.steps, span):
-        w = min(span, params.steps - t0)
+    r_pairs = r_count if params.fusion_enabled else 0
+    # a level window holds at most _WINDOW_EVENTS events, or one chunk's;
+    # an event's level is at most one past the window's events before it,
+    # and a step raises the highest level by at most 2
+    most = max(_WINDOW_EVENTS, span * (r_pairs + rk))
+    level_type = np.min_scalar_type(min(most, 2 * params.steps))
+    agent_level = np.zeros(rk, dtype=level_type)
+    run_base = np.arange(r_pairs) * k
+    # the level window's chunks: per chunk its first step, its steps, its
+    # first pair and the evidence index at which each step begins; and
+    # per chunk its pieces of the window's events: the pairs' rows i and j
+    # and two adopters, their levels, and per evidence event its agent
+    # row, level, state uniform and noise term
+    chunks = []
+    pieces = ([], [], [], [], [], [])
+    p_held = e_held = 0
 
-        # every run's draws for the window, step by step; pairs[t, r]
-        # holds the rows i and j and the two adopters of run r's pair at
-        # step t
-        pairs = []
-        for t in range(w):
-            _draw_step(rngs, params, pairs, u[t], eps[t])
-        pairs = np.array(pairs, dtype=np.intp).reshape(w, -1, 4)
-        pairs += run_base[:pairs.shape[1], None]  # no runs without fusion
-        # evidence event f is agent row f % rk at step f // rk
-        f = (u[:w, :, 1] < rho[:, None]).ravel().nonzero()[0]
-        e_row = f % rk
-        e_ends = np.searchsorted(f, np.arange(w + 1) * rk)
-
-        # each event's level, one past the highest level of the agents it
-        # reads or writes, which it then gives them; the pairs of a step
-        # come before its evidence, and runs share no agents
-        agent_level[:] = 0
-        pair_level = np.empty(pairs.shape[:2], dtype=level_type)
-        e_level = np.empty(f.size, dtype=level_type)
-        for t in range(w):
-            if params.fusion_enabled:
-                i, j, level = pairs[t, :, 0], pairs[t, :, 1], pair_level[t]
-                np.maximum(agent_level[i], agent_level[j], out=level)
-                level += 1
-                agent_level[i] = level
-                agent_level[j] = level
-            rows = e_row[e_ends[t]:e_ends[t + 1]]
-            level = e_level[e_ends[t]:e_ends[t + 1]]
-            np.add(agent_level[rows], 1, out=level)
-            agent_level[rows] = level
-
-        # the events (pairs, then evidence) sorted by level, stably so
-        # that each level's pairs come first (numpy sorts 8- and 16-bit
-        # integers by radix); per event its four rows for _fuse_events (a
-        # pair's i, j and adopters, an evidence event's own row four
-        # times) and its run, and per evidence event its state uniform, at
-        # flat index 2f - f % k of u, and its noise term
-        pairs = pairs.reshape(-1, 4)
-        levels = np.concatenate((pair_level.ravel(), e_level))
+    def fuse_window():
+        pairs, p_level, e_row, e_level, e_u, e_noise = map(np.concatenate,
+                                                           pieces)
+        for piece in pieces:
+            piece.clear()
+        # the events (pairs, then evidence) sorted by level, stably so that
+        # each level's pairs come first (numpy sorts 8- and 16-bit integers
+        # by radix); per event its four rows for _fuse_events (an evidence
+        # event's own row four times) and its run, and per evidence event
+        # its state uniform and noise term
+        levels = np.concatenate((p_level, e_level))
         by_level = levels.argsort(kind="stable")
         ends = np.cumsum(np.bincount(levels, minlength=1)).tolist()
-        level_pairs = np.bincount(pair_level.ravel(),
-                                  minlength=len(ends)).tolist()
+        level_pairs = np.bincount(p_level, minlength=len(ends)).tolist()
         events = np.empty((4, levels.size), dtype=np.intp)
-        events[:, :len(pairs)] = pairs.T
-        events[:, len(pairs):] = e_row
+        events[:, :p_held] = pairs.T
+        events[:, p_held:] = e_row
         events = events.take(by_level, axis=1)
         run = events[0] // k
-        pad = np.zeros(len(pairs))
-        u_state = np.concatenate(
-            (pad, u[:w].reshape(-1)[2 * f - f % k]))[by_level]
-        noise = np.concatenate(
-            (pad, sigma[e_row // k] * eps[:w].reshape(-1)[f]))[by_level]
+        pad = np.zeros(p_held)
+        u_state = np.concatenate((pad, e_u))[by_level]
+        noise = np.concatenate((pad, e_noise))[by_level]
         if trajectory:
             values = np.empty((len(columns), levels.size))
-
         for lv in range(1, len(ends)):
             start, stop = ends[lv - 1], ends[lv]
             cut = start + level_pairs[lv]  # the level's first evidence event
@@ -537,26 +531,79 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
             if trajectory:
                 values[:, by_level[start:stop]] = _metric_columns(
                     fused, params.model)
+        if trajectory:  # each chunk's metrics, in step order
+            e_values = values[:, p_held:]
+            for t0, w, p0, e_ends in chunks:
+                p1 = p0 + w * r_pairs
+                _window_metrics(metrics[:, t0:t0 + w], columns,
+                                pairs[p0:p1, 2:].reshape(w, r_pairs, 2),
+                                values[:, p0:p1].reshape(len(values), w,
+                                                          r_pairs, 1),
+                                e_row, e_values, e_ends)
 
-        if trajectory:
-            _window_metrics(metrics[:, t0:t0 + w], columns, values,
-                            pairs.reshape(w, -1, 4), e_row, e_ends)
+    for t0 in range(0, params.steps, span):
+        w = min(span, params.steps - t0)
+
+        # every run's draws for the chunk, step by step; pairs[t, r] holds
+        # the rows i and j and the two adopters of run r's pair at step t
+        pairs = []
+        for t in range(w):
+            _draw_step(rngs, params, pairs, u[t], eps[t])
+        pairs = np.array(pairs, dtype=np.intp).reshape(w, r_pairs, 4)
+        pairs += run_base[:, None]
+        # evidence event f is agent row f % rk at step f // rk
+        f = (u[:w, :, 1] < rho[:, None]).ravel().nonzero()[0]
+        if chunks and p_held + e_held + w * r_pairs + f.size \
+                > _WINDOW_EVENTS:
+            fuse_window()
+            chunks, p_held, e_held = [], 0, 0
+            agent_level[:] = 0
+        e_row = f % rk
+        e_ends = np.searchsorted(f, np.arange(w + 1) * rk)
+
+        # each event's level, one past the highest level of the agents it
+        # reads or writes, which it then gives them; the pairs of a step
+        # come before its evidence, and runs share no agents
+        pair_level = np.empty((w, r_pairs), dtype=level_type)
+        e_level = np.empty(f.size, dtype=level_type)
+        for t in range(w):
+            if r_pairs:
+                i, j, level = pairs[t, :, 0], pairs[t, :, 1], pair_level[t]
+                np.maximum(agent_level[i], agent_level[j], out=level)
+                level += 1
+                agent_level[i] = level
+                agent_level[j] = level
+            rows = e_row[e_ends[t]:e_ends[t + 1]]
+            level = e_level[e_ends[t]:e_ends[t + 1]]
+            np.add(agent_level[rows], 1, out=level)
+            agent_level[rows] = level
+
+        # an evidence event's state uniform is u's flat entry 2f - f % k
+        for piece, value in zip(pieces, (
+                pairs.reshape(-1, 4), pair_level.ravel(), e_row, e_level,
+                u[:w].reshape(-1)[2 * f - f % k],
+                sigma[e_row // k] * eps[:w].reshape(-1)[f])):
+            piece.append(value)
+        chunks.append((t0, w, p_held, (e_held + e_ends).tolist()))
+        p_held += w * r_pairs
+        e_held += f.size
+    if chunks:
+        fuse_window()
     return degenerate
 
 
 def _window_metrics(out: np.ndarray, columns: np.ndarray,
-                    values: np.ndarray, pairs: np.ndarray, e_row: np.ndarray,
-                    e_ends: np.ndarray) -> None:
-    """A window's per-step metrics, written into out, an (R, w, m) view.
-    columns holds the agents' metric columns before the window, (m, R * k),
-    values the same per event, (m, events), in event order; the columns
-    are advanced step by step in place, and the window's steps are reduced
-    by one _agent_means call."""
+                    adopters: np.ndarray, pair_values: np.ndarray,
+                    e_row: np.ndarray, e_values: np.ndarray,
+                    e_ends: Sequence[int]) -> None:
+    """A chunk's per-step metrics, written into out, an (R, w, m) view.
+    columns holds the agents' metric columns before the chunk, (m, R * k).
+    adopters, (w, R, 2), holds each step's pair adopters and pair_values,
+    (m, w, R, 1), their metric columns; step t's evidence events are
+    e_row's agent rows and e_values' (m, events) columns at
+    e_ends[t]:e_ends[t + 1]. The columns are advanced step by step in
+    place, and the chunk's steps are reduced by one _agent_means call."""
     r_count, w, m = out.shape
-    n_pairs = pairs.shape[0] * pairs.shape[1]
-    adopters = pairs[:, :, 2:]
-    pair_values = values[:, :n_pairs].reshape(m, w, -1, 1)
-    e_values = values[:, n_pairs:]
     steps = np.empty((w,) + columns.shape)
     for t in range(w):
         # the pair first: an adopter's evidence in the same step follows
@@ -612,10 +659,11 @@ def run_batch(runs: Sequence[SimParams],
     rho = np.array([p.rho for p in runs])
     sigma = np.array([p.sigma for p in runs])
     theta = _FrankRows.of([p.theta for p in runs])
-    qualities = np.asarray(EnvironmentSpec.default(shape.states).qualities)
+    # the arrays first: one too large to allocate fails at once
     b = _initial_beliefs(shape, len(runs))
     metrics = np.empty((len(runs), 1 if final_only else shape.steps + 1,
                         len(METRICS[shape.model])))
+    qualities = _default_qualities(shape.states)
     if not final_only:
         metrics[:, 0] = _metrics_from_array(b, shape.model)
     advance = _run_levels if _sparse(runs) else _run_steps

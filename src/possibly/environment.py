@@ -64,8 +64,14 @@ class EnvironmentSpec:
 
     @classmethod
     def default(cls, n: int) -> "EnvironmentSpec":
-        """Qualities spread uniformly across (0, 1): q_i = i / (n + 1)."""
-        return cls(n, tuple(i / (n + 1) for i in range(1, n + 1)))
+        """The environment of _default_qualities(n)."""
+        return cls(n, _default_qualities(n).tolist())
+
+
+def _default_qualities(n: int) -> np.ndarray:
+    """The default environment's qualities, spread uniformly across (0, 1):
+    q_i = i / (n + 1), an (n,) array."""
+    return np.arange(1, n + 1) / (n + 1)
 
 
 @dataclass(frozen=True)

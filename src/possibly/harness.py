@@ -349,11 +349,16 @@ def trajectory_header(model: str) -> tuple[str, ...]:
     return ("run", "step", *METRICS[model])
 
 
-def trajectory_rows(trajectories: np.ndarray) -> list[list]:
-    """Flatten a collect_trajectories array into [run, step, *metrics] CSV
-    rows."""
-    return [[ri, t, *values] for ri, traj in enumerate(trajectories.tolist())
-            for t, values in enumerate(traj)]
+def trajectory_rows(trajectories: np.ndarray) -> list[str]:
+    """Flatten a collect_trajectories array into CSV rows, one str
+    "run,step,*metrics" each. Each column is formatted at once, and each
+    cell as emit_csv formats it."""
+    runs, steps, m = trajectories.shape
+    columns = [map(str, np.arange(runs).repeat(steps).tolist()),
+               map(str, list(range(steps)) * runs)]
+    columns += [map(repr, column.tolist())
+                for column in trajectories.reshape(-1, m).T]
+    return list(map(",".join, zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +377,9 @@ _CELL_FORMATS = {int: str, float: repr, str: str}
 
 
 def emit_csv(rows: Collection, path, header=AGGREGATE_HEADER) -> None:
-    """Write header and rows as CSV, one line per row of cells: aggregate
-    records, histogram pairs under HISTOGRAM_HEADER, or trajectory_rows
-    under trajectory_header(model).
+    """Write header and rows as CSV, one line per row: a row of cells
+    (aggregate records, or histogram pairs under HISTOGRAM_HEADER) or a
+    str, written as it is (trajectory_rows under trajectory_header(model)).
 
     Writes to a temp file and renames, so a failure leaves no partial file.
     """
@@ -387,8 +392,9 @@ def emit_csv(rows: Collection, path, header=AGGREGATE_HEADER) -> None:
                 fh.write(",".join(header) + "\n")
                 cell = _CELL_FORMATS.get
                 for row in rows:
-                    fh.write(",".join([cell(type(c), _fmt)(c) for c in row])
-                             + "\n")
+                    if row.__class__ is not str:
+                        row = ",".join([cell(type(c), _fmt)(c) for c in row])
+                    fh.write(row + "\n")
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -395,6 +395,37 @@ class TestMainEndToEnd:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_states_too_many_to_allocate_fails_cleanly(self, tmp_path):
+        # 2 agents x 10^13 states of float64 is 146 TiB. The beliefs are
+        # allocated before anything of the states' length, so the allocator
+        # refuses them at once. A child process under a 2 GiB address-space
+        # limit runs it, so that a list of 10^13 Python floats would end
+        # there in a MemoryError, not take the host's memory.
+        pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                 "from possibly.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", child, "run", "--seed", "1", "--agents", "2",
+             "--states", "10000000000000", "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: Unable to allocate ")
+        assert done.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_error_without_message_names_itself(self, monkeypatch,
+                                                       capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "collect_trajectories", exhausted)
+        assert main(["run", "--seed", "1", "--steps", "2"]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     @pytest.mark.parametrize("argv,stub", [
         (["run"], "collect_trajectories"),
         (["sweep", "noise", "0.0,0.2"], "sweep"),
@@ -413,19 +444,6 @@ class TestMainEndToEnd:
         assert (capsys.readouterr().err
                 == f"error: [Errno 17] File exists: {str(blocker)!r}\n")
         assert blocker.read_text() == "occupied"
-
-    def test_population_too_large_to_allocate_fails_cleanly(self, tmp_path,
-                                                            capsys):
-        # 10^9 agents x 10^5 states of float64 is 728 TiB, more than a 47-bit
-        # address space, so the allocator refuses it before touching a page
-        code = main(["run", "--seed", "1", "--agents", "1000000000",
-                     "--states", "100000", "--steps", "0",
-                     "--out", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate ")
-        assert err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
 
     def test_dead_pool_worker_exits_1_and_writes_nothing(self, tmp_path, capsys,
                                                          monkeypatch, fresh_pool):

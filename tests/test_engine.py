@@ -536,18 +536,30 @@ def advance_both(runs, final_only=False, buffered=False):
     return results
 
 
-# (_WINDOW_STEPS, _WINDOW_DRAWS): the defaults, few steps, few draws (one
-# or two steps a window at 100 agents), and one step
-WINDOWS = ((engine._WINDOW_STEPS, engine._WINDOW_DRAWS), (3, 1 << 17),
-           (32, 250), (1, 1))
+# (_WINDOW_STEPS, _WINDOW_DRAWS, _WINDOW_EVENTS): the defaults; at the
+# default event cap, chunks of few steps, of few draws (one or two steps at
+# 100 agents) and of one step, so that a level window spans many chunks;
+# a cap of one event, so that each chunk with events is a level window;
+# and a cap below one chunk's events at 100 agents, which at a few agents
+# spans some chunks and ends mid-run
+WINDOWS = ((engine._WINDOW_STEPS, engine._WINDOW_DRAWS, engine._WINDOW_EVENTS),
+           (3, 1 << 17, 1 << 15), (32, 250, 1 << 15), (1, 1, 1 << 15),
+           (32, 1 << 17, 1), (3, 1 << 17, 37))
+
+
+def windows(window):
+    """mock.patch.multiple's patch of engine's three window constants."""
+    return mock.patch.multiple(engine, _WINDOW_STEPS=window[0],
+                               _WINDOW_DRAWS=window[1],
+                               _WINDOW_EVENTS=window[2])
 
 
 class TestLevels:
-    """_run_levels, which draws a window of steps ahead and fuses its events
-    one dependency level at a time, gives what the _sim_step loop gives, bit
-    for bit: beliefs, metrics in both capture modes, degenerate counts and
-    every generator's final state. Small batches take it in run_batch, so
-    TestLockstep compares it only with itself."""
+    """_run_levels, which draws chunks of steps ahead and fuses a level
+    window of them one dependency level at a time, gives what the _sim_step
+    loop gives, bit for bit: beliefs, metrics in both capture modes,
+    degenerate counts and every generator's final state. Small batches take
+    it in run_batch, so TestLockstep compares it only with itself."""
 
     @settings(max_examples=100)
     @given(k=st.one_of(st.integers(2, 8), st.just(100)),
@@ -570,25 +582,24 @@ class TestLevels:
                           steps=steps, model=model, seed=seed + r,
                           fusion_enabled=fusion, fusion_adoption=adoption)
                 for r, ((rho, sigma), theta) in enumerate(zip(mix, thetas))]
-        with mock.patch.multiple(engine, _WINDOW_STEPS=window[0],
-                                 _WINDOW_DRAWS=window[1]):
+        with windows(window):
             steps_result, levels_result = advance_both(runs, final_only,
                                                        buffered)
         assert levels_result == steps_result
 
     @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
     @pytest.mark.parametrize("adoption", (ADOPT_BOTH, ADOPT_RANDOM_ONE))
-    @pytest.mark.parametrize("window", WINDOWS[::2])
+    @pytest.mark.parametrize("window", WINDOWS[::2] + WINDOWS[-1:])
     def test_paper_population_over_several_windows(self, model, adoption,
                                                    window):
         # two runs of the paper's population, as the trajectory figures
-        # batch them, over 100 steps: 4 windows at the defaults
+        # batch them, over 100 steps: at the defaults one level window of 4
+        # chunks, at the smaller caps 4 or 34 level windows
         runs = [SimParams(agents=100, states=5, rho=rho, sigma=0.3,
                           theta=FrankParameter(theta=theta), steps=100,
                           model=model, seed=seed, fusion_adoption=adoption)
                 for rho, theta, seed in ((0.05, 20.0, 1), (0.2, 3.0, 2))]
-        with mock.patch.multiple(engine, _WINDOW_STEPS=window[0],
-                                 _WINDOW_DRAWS=window[1]):
+        with windows(window):
             for final_only in (False, True):
                 steps_result, levels_result = advance_both(runs, final_only)
                 assert levels_result == steps_result
@@ -619,6 +630,24 @@ class TestLevels:
         pairs, evidence = counts
         assert pairs.tolist() == [60] * 3
         assert 0 < evidence[0] < evidence[1] < evidence[2] == 600
+
+    def test_trajectory_workload_passes(self, monkeypatch):
+        # fig8's possibilistic batch at the trajectory workload's size, 2
+        # runs of 750 steps at seed 1: 8,999 events in one level window of
+        # 24 chunks take 107 passes (a level window per chunk takes 196)
+        part = preset("fig8", seed=1).parts[0]
+        spec = replace(part.spec, runs=2,
+                       base=replace(part.spec.base, steps=750))
+        events = []  # per pass
+        fuse_events = engine._fuse_events
+
+        def counted(*args):
+            events.append(len(args[5]))
+            return fuse_events(*args)
+
+        monkeypatch.setattr(engine, "_fuse_events", counted)
+        run_batch(harness._runs_for(spec))
+        assert (len(events), sum(events)) == (107, 8999)
 
     def test_degenerate_resets_match(self):
         runs = [SimParams(agents=6, states=3, rho=rho, sigma=2.0, theta=THETA20,
@@ -828,7 +857,8 @@ class TestHeapFaults:
     @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
     @pytest.mark.parametrize("pad_kb", (0, 8, 20, 32))
     def test_repeat_sparse_batch_takes_few_minor_faults(self, model, pad_kb):
-        # the paper's population, stepped by level in 3 windows
+        # the paper's population, stepped by level: one level window of 3
+        # chunks
         assert self.repeat_faults(model, pad_kb, 100, 5, 0.05, 80) \
             <= self.MAX_FAULTS
 

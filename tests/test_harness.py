@@ -267,7 +267,7 @@ class TestEmitCsv:
     def test_trajectory_schema_by_model(self, tmp_path):
         poss = trajectory_rows(np.array([[[1.0, 0.0], [0.9, 0.1]]]))
         prob = trajectory_rows(np.array([[[0.2], [0.4]]]))
-        assert poss == [[0, 0, 1.0, 0.0], [0, 1, 0.9, 0.1]]
+        assert poss == ["0,0,1.0,0.0", "0,1,0.9,0.1"]
         p1, p2 = tmp_path / "poss.csv", tmp_path / "prob.csv"
         emit_csv(poss, p1, trajectory_header(POSSIBILISTIC))
         emit_csv(prob, p2, trajectory_header(PROBABILISTIC))
@@ -318,13 +318,15 @@ class TestEmitCsv:
         assert path.read_text() == f"a,b,c\n{want},m,{want}\n"
 
     def test_trajectory_bytes_as_fmt(self, tmp_path):
+        # trajectory_rows formats by column what _fmt formats by cell
         trajs = np.random.default_rng(5).random((3, 40, 2))
         trajs[0, 0] = 0.0, 1.0
-        rows = trajectory_rows(trajs)
+        trajs[2, 39] = 5e-324, 1e-300
         path = tmp_path / "traj.csv"
-        emit_csv(rows, path, trajectory_header(POSSIBILISTIC))
-        want = "".join(",".join(harness._fmt(c) for c in row) + "\n"
-                       for row in rows)
+        emit_csv(trajectory_rows(trajs), path, trajectory_header(POSSIBILISTIC))
+        want = "".join(",".join(map(harness._fmt, (run, step, *values))) + "\n"
+                       for run, traj in enumerate(trajs)
+                       for step, values in enumerate(traj))
         header = ",".join(trajectory_header(POSSIBILISTIC)) + "\n"
         assert path.read_bytes() == (header + want).encode()
 
