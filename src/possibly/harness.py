@@ -10,12 +10,13 @@ SeedSequence spawn keys, so a sweep is reproducible from a single integer
 and runs stay independent of worker count and scheduling order.
 
 Consecutive runs of one lockstep shape (engine.lockstep_key; a theta sweep
-is one shape per Frank branch) are stepped together by engine.run_batch, in
-as many contiguous batches as there are workers to share them; a run's
-metrics do not depend on its batch. Runs come back as one
-(runs, steps + 1 or 1, m) array in METRICS[model] column order, and every
-fold and CSV reads that array. The reversal curve spreads its points
-over the same pool, each point on its own seeded stream.
+is one shape per Frank branch) are stepped together by engine.run_batch,
+dealt round-robin into as many batches as there are workers to share them,
+so that each batch gets a like share of an ascending grid; a run's metrics
+do not depend on its batch. Runs come back as one
+(runs, steps + 1 or 1, m) array in run order and METRICS[model] column
+order, and every fold and CSV reads that array. The reversal curve spreads
+its points over the same pool, each point on its own seeded stream.
 
 A process has one worker pool. The first call that needs more than one
 worker forks it, and every later call of that size reuses its processes;
@@ -220,19 +221,21 @@ def _run_job(args):
     return run_batch(runs, final_only=capture == CAPTURE_FINAL)[0]
 
 
-def _batches(runs, workers: int) -> list[tuple[SimParams, ...]]:
-    """Cut each group of consecutive same-shape runs into min(workers,
-    len(group)) contiguous batches of near-equal size, in run order."""
+def _batches(runs, workers: int) -> list[range]:
+    """Deal each group of consecutive same-shape runs round-robin into
+    min(workers, len(group)) batches, whose sizes differ by at most one.
+    A batch is the positions of its runs in runs, ascending.
+
+    Dealing, not cutting, gives each batch every workers-th run of its
+    group, so a swept grid whose points cost more as they rise (rho) loads
+    the workers alike."""
     batches = []
+    start = 0
     for _, group in itertools.groupby(runs, key=lockstep_key):
-        group = tuple(group)
+        group = range(start, start + sum(1 for _ in group))
         parts = min(workers, len(group))
-        size, extra = divmod(len(group), parts)
-        start = 0
-        for part in range(parts):
-            stop = start + size + (part < extra)
-            batches.append(group[start:stop])
-            start = stop
+        batches += [group[part::parts] for part in range(parts)]
+        start = group.stop
     return batches
 
 
@@ -282,8 +285,13 @@ def _pool_map(fn, jobs: list, workers: int) -> list:
 def _map_jobs(runs, capture: str, workers: int) -> np.ndarray:
     # a run's metrics do not depend on its batch
     batches = _batches(runs, _pool_size(workers, len(runs)))
-    return np.concatenate(
-        _pool_map(_run_job, [(batch, capture) for batch in batches], workers))
+    results = _pool_map(
+        _run_job, [([runs[i] for i in batch], capture) for batch in batches],
+        workers)
+    metrics = np.empty((len(runs), *results[0].shape[1:]), results[0].dtype)
+    for batch, rows in zip(batches, results):
+        metrics[batch] = rows
+    return metrics
 
 
 def _runs_for(spec: SweepSpec) -> list[SimParams]:
@@ -312,11 +320,21 @@ def collect_trajectories(spec: SweepSpec, workers: int = 1) -> np.ndarray:
 
 
 def _fold(metrics: np.ndarray, xs, model: str) -> list[AggregateRecord]:
-    """mean/p10/p90 across the runs of a (runs, len(xs), m) array, x-major."""
-    return [AggregateRecord(x=x, metric=name, mean=float(col.mean()),
-                            p10=percentile(col, 0.10), p90=percentile(col, 0.90))
-            for i, x in enumerate(xs)
-            for col, name in zip(metrics[:, i].T, METRICS[model])]
+    """mean/p10/p90 across the runs of a (runs, len(xs), m) array, x-major.
+
+    Each statistic is one call over a copy laid out (len(xs), m, runs), the
+    run axis last and contiguous: a reduction along that axis adds each
+    column's runs in the same (pairwise) order as the column's own mean,
+    so every value is the bits of col.mean() and percentile(col, q). A
+    mean along axis 0 of the (runs, ...) array would add row by row, in
+    another order, and change bits."""
+    columns = np.ascontiguousarray(metrics.transpose(1, 2, 0))
+    means = columns.mean(axis=-1).tolist()
+    p10s = np.percentile(columns, 100.0 * 0.10, axis=-1).tolist()
+    p90s = np.percentile(columns, 100.0 * 0.90, axis=-1).tolist()
+    return [AggregateRecord(x=x, metric=name, mean=mean, p10=p10, p90=p90)
+            for x, *point in zip(xs, means, p10s, p90s)
+            for name, mean, p10, p90 in zip(METRICS[model], *point)]
 
 
 def aggregate_trajectories(trajectories: np.ndarray,
@@ -521,11 +539,18 @@ def _frank_curve_records(grid) -> list[AggregateRecord]:
 
 
 def _reversal_point(job) -> float:
+    """The reversal probability of the fig3 point (seed, gi, sigma), from
+    10**6 samples on the point's own stream.
+
+    At sigma = 0 every sample is the same noiseless comparison, so one
+    sample gives that estimate exactly (0.0 or 1.0), without drawing the
+    2 * 10**6 normals that the noise would multiply by 0."""
     seed, gi, sigma = job
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(derive_run_seed(seed, gi, 0))))
     return reversal_probability(EnvironmentSpec.default(5), NoiseSpec(sigma=sigma),
-                                i=5, j=4, samples=10 ** 6, rng=rng)
+                                i=5, j=4, samples=1 if sigma == 0 else 10 ** 6,
+                                rng=rng)
 
 
 def _reversal_curve_records(grid, seed: int, workers: int) -> list[AggregateRecord]:

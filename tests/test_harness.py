@@ -17,7 +17,9 @@ from possibly import (
     POSSIBILISTIC,
     PROBABILISTIC,
     AggregateRecord,
+    EnvironmentSpec,
     FrankParameter,
+    NoiseSpec,
     SimParams,
     SweepSpec,
     aggregate_trajectories,
@@ -29,6 +31,7 @@ from possibly import (
     histogram,
     percentile,
     preset,
+    reversal_probability,
     run,
     run_part,
     sweep,
@@ -240,6 +243,48 @@ class TestSweep:
         steps = tiny_params().steps + 1
         assert len(records) == steps * 2
         assert records[0].x == 0.0 and records[-1].x == float(steps - 1)
+
+
+def fold_reference(metrics, xs, model):
+    # the fold one column of runs at a time
+    return [AggregateRecord(x=x, metric=name, mean=float(col.mean()),
+                            p10=float(np.percentile(col, 10)),
+                            p90=float(np.percentile(col, 90)))
+            for i, x in enumerate(xs)
+            for col, name in zip(metrics[:, i].T, METRICS[model])]
+
+
+class TestFold:
+    """The fold's one call per statistic gives the bits of the per-column
+    reference. A mean along the run axis of the (runs, ...) array adds in
+    another order than a column's own mean, so these pin the layout."""
+
+    @staticmethod
+    def metrics(runs, points, m):
+        rng = np.random.default_rng(runs)
+        a = rng.random((runs, points, m))
+        a[:, : points // 2] = np.round(a[:, : points // 2], 1)  # ties
+        a[rng.random(a.shape) < 0.15] = 0.0
+        a[rng.random(a.shape) < 0.15] = 1.0
+        return a
+
+    @pytest.mark.parametrize("model", [POSSIBILISTIC, PROBABILISTIC])
+    @pytest.mark.parametrize("runs", [1, 2, 7, 100])
+    def test_fold_matches_per_column_reference(self, runs, model):
+        a = self.metrics(runs, 13, len(METRICS[model]))
+        xs = [0.5 * i for i in range(13)]
+        expected = repr(fold_reference(a, xs, model))
+        assert repr(harness._fold(a, xs, model)) == expected
+        # as sweep passes it: a strided view of the (points, runs) array
+        by_point = np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+        assert repr(harness._fold(by_point, xs, model)) == expected
+
+    @pytest.mark.parametrize("runs", [1, 2, 7, 100])
+    def test_aggregate_trajectories_matches_per_column_reference(self, runs):
+        a = self.metrics(runs, 31, 2)
+        xs = [float(t) for t in range(31)]
+        assert repr(aggregate_trajectories(a, POSSIBILISTIC)) == \
+            repr(fold_reference(a, xs, POSSIBILISTIC))
 
 
 class TestEmitCsv:
@@ -466,6 +511,32 @@ class TestRunPart:
         with pytest.raises(ValueError):
             run_part(PresetPart(stem="x", kind="mystery"), tmp_path)
 
+    @pytest.mark.parametrize("seed", [1, 3, 42])
+    def test_fig3_noiseless_point_equals_a_million_samples(self, seed):
+        grid = preset("fig3").parts[0].curve_grid
+        assert grid[0] == 0.0
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(derive_run_seed(seed, 0, 0))))
+        expected = reversal_probability(EnvironmentSpec.default(5),
+                                        NoiseSpec(sigma=0.0), i=5, j=4,
+                                        samples=10 ** 6, rng=rng)
+        assert repr(harness._reversal_point((seed, 0, 0.0))) == repr(expected)
+
+    def test_fig3_takes_one_sample_at_the_noiseless_point_only(
+            self, tmp_path, monkeypatch):
+        seen = []
+
+        def counted(env, noise, *args, samples, **kwargs):
+            seen.append((noise.sigma, samples))
+            return reversal_probability(env, noise, *args, samples=samples,
+                                        **kwargs)
+
+        monkeypatch.setattr(harness, "reversal_probability", counted)
+        part = preset("fig3").parts[0]
+        run_part(part, tmp_path, workers=1)
+        assert seen == [(sigma, 1 if sigma == 0 else 10 ** 6)
+                        for sigma in part.curve_grid]
+
 
 class TestParallelDeterminism:
     def test_identical_csv_bytes_across_worker_counts(self, tmp_path):
@@ -478,7 +549,7 @@ class TestParallelDeterminism:
 
     def test_group_split_across_two_workers_keeps_csv_bytes(self, tmp_path,
                                                             monkeypatch):
-        # the six runs share one lockstep shape; two workers cut them 3 + 3
+        # the six runs share one lockstep shape; two workers get 3 + 3
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         spec = SweepSpec(base=tiny_params(steps=4), param="evidence-rate",
                          grid=(0.2, 0.8), runs=3)
@@ -491,8 +562,8 @@ class TestParallelDeterminism:
 
     def test_trajectory_bytes_do_not_depend_on_workers(self, tmp_path,
                                                        monkeypatch):
-        # two workers cut the four runs 2 + 2; the batches' arrays are
-        # joined in run order
+        # two workers are dealt the four runs 2 + 2; each batch's rows go
+        # back to its runs' positions
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         spec = SweepSpec(base=tiny_params(), runs=4, capture="trajectory")
         batches = harness._batches(harness._runs_for(spec), 2)
@@ -512,21 +583,51 @@ class TestParallelDeterminism:
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
+# a grid that crosses Frank branches: groups of 6, 3 and 9 runs
+UNEVEN = SweepSpec(base=tiny_params(), param="theta",
+                   grid=(-1.0, -10.0, 5e-5, 1.0, 2.0, 10.0), runs=3)
+
+
 class TestBatching:
-    def test_groups_split_into_contiguous_near_equal_batches(self):
-        spec = SweepSpec(base=tiny_params(), param="theta", grid=(1.0, 10.0),
-                         runs=5)
-        runs = harness._runs_for(spec)
-        batches = harness._batches(runs, 2)
-        # theta is a per-run column: both grid points form one group
-        assert [len(batch) for batch in batches] == [5, 5]
-        assert [p for batch in batches for p in batch] == runs
-        assert [len(batch) for batch in harness._batches(runs, 1)] == [10]
-        # a grid that crosses Frank branches splits where the branch changes
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7, 20])
+    def test_groups_are_dealt_into_near_equal_batches(self, workers):
+        runs = harness._runs_for(UNEVEN)
+        batches = harness._batches(runs, workers)
+        assert sorted(i for batch in batches for i in batch) == \
+            list(range(len(runs)))
+        by_group = {}
+        for batch in batches:
+            keys = {engine.lockstep_key(runs[i]) for i in batch}
+            assert len(keys) == 1 and list(batch) == sorted(batch)
+            by_group.setdefault(keys.pop(), []).append(len(batch))
+        assert sorted(map(sum, by_group.values())) == [3, 6, 9]
+        for sizes in by_group.values():
+            assert len(sizes) == min(workers, sum(sizes))
+            assert max(sizes) - min(sizes) <= 1
+
+    def test_one_worker_splits_where_the_frank_branch_changes(self):
         spec = SweepSpec(base=tiny_params(), param="theta",
                          grid=(-1.0, -10.0, 5e-5, 1.0), runs=2)
         assert [len(batch) for batch in
                 harness._batches(harness._runs_for(spec), 1)] == [4, 2, 2]
+
+    def test_an_ascending_rho_grid_loads_both_batches_alike(self):
+        spec = replace(preset("fig7").parts[0].spec, runs=3)
+        runs = harness._runs_for(spec)
+        rho = [sum(runs[i].rho for i in batch)
+               for batch in harness._batches(runs, 2)]
+        assert len(rho) == 2
+        assert abs(rho[0] - rho[1]) <= max(harness._RHO_GRID)
+
+    @pytest.mark.parametrize("capture", ["final", "trajectory"])
+    def test_dealt_rows_return_to_their_runs(self, monkeypatch, fresh_pool,
+                                             capture):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        runs = harness._runs_for(UNEVEN)
+        one = harness._map_jobs(runs, capture, 1)
+        three = harness._map_jobs(runs, capture, 3)
+        assert harness._POOL[0] == 3
+        assert one.shape == three.shape and one.tobytes() == three.tobytes()
 
     def test_final_capture_builds_metrics_once(self, monkeypatch):
         calls = []
