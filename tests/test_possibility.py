@@ -472,7 +472,9 @@ def log_expm1_reference(z):
 
 def frank_values_reference(param, x, y):
     """The Frank kernel in its plain form: every -theta and product
-    computed where it is used, an np.clip/np.where tail."""
+    computed where it is used, an np.clip/np.where tail. T(0, y) = 0 and
+    T(x, 1) = x give min(x, y) as it is; np.clip alone would give +0.0
+    where min(x, y) is -0.0."""
     frank = param if isinstance(param, _FrankRows) else _FrankRows.of(param)
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
@@ -494,7 +496,7 @@ def frank_values_reference(param, x, y):
             - frank.const
         t = np.logaddexp(0.0, logr) / phi
     t = np.clip(t, np.maximum(0.0, lo + hi - 1.0), lo)
-    return np.where(hi == 1.0, lo, t)
+    return np.where((lo == 0.0) | (hi == 1.0), lo, t)
 
 
 def fuse_rows_reference(param, a, b):
@@ -514,8 +516,11 @@ BRANCH_THETAS = {
     "positive": st.floats(THETA_PRODUCT_CUTOFF, THETA_MAX),
     "negative": st.floats(-THETA_MAX, -THETA_PRODUCT_CUTOFF),
 }
-# exact 0s and 1s and repeated values, besides any degree
-degrees = st.one_of(st.sampled_from((0.0, 1.0, 0.5, 0.25)), units)
+# exact 0s and 1s and repeated values, besides any degree; -0.0, the least
+# subnormal and the greatest double below 1 sit on the edges of the
+# entries that the Frank kernel's closed form runs on
+degrees = st.one_of(st.sampled_from((0.0, 1.0, 0.5, 0.25, -0.0, 5e-324,
+                                     1.0 - 2.0 ** -53)), units)
 
 
 @st.composite
@@ -564,6 +569,17 @@ class TestKernelReferences:
         assert frank_tnorm(param, float(x), float(y)) == float(want)
 
     @given(frank_blocks())
+    def test_block_entries_equal_their_scalar_calls(self, block):
+        # a block runs the closed form on a gathered copy of its entries
+        # with 0 < min and max < 1, a scalar call on the entry in place
+        param, x, y = block
+        got = _frank_values(_FrankRows.of(param), x, y)
+        params = param if isinstance(param, list) else [param] * len(x)
+        for i, p in enumerate(params):
+            for j in range(x.shape[1]):
+                assert_same_bits(got[i, j], _frank_values(p, x[i, j], y[i, j]))
+
+    @given(frank_blocks())
     def test_fuse_rows(self, block):
         param, a, b = block
         frank = _FrankRows.of(param)
@@ -607,13 +623,32 @@ def wide_thetas(rng, branch, rows):
     return [FrankParameter(theta=float(t)) for t in thetas]
 
 
-def wide_rows(rng, m, n, coarse):
-    """An (m, n) block of possibility rows: random degrees, one entry per
-    row set to 1; rounded to one decimal when coarse, for ties and exact
-    0s and 1s."""
-    b = rng.random((m, n))
-    if coarse:
+ROW_MODES = ("fine", "coarse", "sparse", "evidence")
+
+
+def wide_rows(rng, m, n, mode):
+    """An (m, n) block of possibility rows, one entry per row set to 1 and
+    the others, by mode:
+
+    - fine: random degrees;
+    - coarse: random degrees rounded to one decimal, for ties and exact
+      0s and 1s;
+    - sparse: random degrees, most of them exactly 0, like beliefs that
+      evidence has ruled states out of (the `large` benchmark's beliefs are
+      88% zeros at step 75);
+    - evidence: one value c per row, 0, random or 1 - 2**-53, like the
+      evidence rows of environment._evidence_rows.
+    """
+    if mode == "evidence":
+        c = np.choose(rng.integers(3, size=(m, 1)),
+                      (0.0, rng.random((m, 1)), 1.0 - 2.0 ** -53))
+        b = np.repeat(c, n, axis=1)
+    else:
+        b = rng.random((m, n))
+    if mode == "coarse":
         b = np.round(b, 1)
+    elif mode == "sparse":
+        b[rng.random((m, n)) < 0.88] = 0.0
     b[np.arange(m), rng.integers(n, size=m)] = 1.0
     return b
 
@@ -621,17 +656,18 @@ def wide_rows(rng, m, n, coarse):
 class TestWideRows:
     """The rewritten kernels against their references at paper sizes, with
     rows long enough to run numpy's vector loops and not only their tails:
-    every Frank branch, one theta or one per row, ties and exact 0s and
-    1s."""
+    every Frank branch, one theta or one per row, ties, exact 0s and 1s,
+    mostly-zero beliefs and evidence rows."""
 
     @given(st.sampled_from(BRANCHES), st.integers(100, 2000),
-           st.integers(2, 24), st.integers(0, 2 ** 32), st.booleans(),
+           st.integers(2, 24), st.integers(0, 2 ** 32),
+           st.sampled_from(ROW_MODES), st.sampled_from(ROW_MODES),
            st.booleans())
-    def test_frank_values_and_fuse_rows(self, branch, m, n, seed, coarse,
-                                        per_row):
+    def test_frank_values_and_fuse_rows(self, branch, m, n, seed, mode_a,
+                                        mode_b, per_row):
         rng = np.random.default_rng(seed)
         frank = _FrankRows.of(wide_thetas(rng, branch, m if per_row else None))
-        a, b = wide_rows(rng, m, n, coarse), wide_rows(rng, m, n, coarse)
+        a, b = wide_rows(rng, m, n, mode_a), wide_rows(rng, m, n, mode_b)
         if frank.branch == "negative":
             assert_same_bits(frank.const, log_expm1_reference(-frank.theta))
         assert_same_bits(_frank_values(frank, a, b),
@@ -639,7 +675,72 @@ class TestWideRows:
         assert_same_bits(_fuse_rows(frank, a, b), fuse_rows_reference(frank, a, b))
 
     @given(st.integers(100, 2000), st.integers(2, 24), st.integers(0, 2 ** 32),
-           st.booleans())
-    def test_pignistic_rows(self, m, n, seed, coarse):
-        b = wide_rows(np.random.default_rng(seed), m, n, coarse)
+           st.sampled_from(ROW_MODES))
+    def test_pignistic_rows(self, m, n, seed, mode):
+        b = wide_rows(np.random.default_rng(seed), m, n, mode)
         assert_same_bits(_pignistic_rows(b), pignistic_rows_along_axis(b))
+
+
+class TestUfuncLayouts:
+    """The Frank kernel runs its closed form in place on a scalar or a
+    block without 0s and 1s, and on a gathered copy of the open entries of
+    any other block, so a CSV's bytes rest on numpy's exp, expm1, log,
+    log1p and logaddexp giving the same bits for a value whatever array it
+    sits in. The pinned numpy does; a release whose vector loops rounded
+    by layout would fail here instead of moving CSV bytes."""
+
+    K = 3000
+    POOL = 10 ** 5
+
+    def magnitudes(self, rng, top):
+        """K magnitudes up to top: half uniform, half log-uniform from the
+        least subnormals."""
+        half = self.K // 2
+        return np.concatenate((rng.uniform(0.0, top, half),
+                               10.0 ** rng.uniform(-323.0, np.log10(top),
+                                                   self.K - half)))
+
+    def arguments(self, rng):
+        """Each ufunc's arguments over the ranges that the two branches
+        feed it, for 1e-4 <= |theta| <= 700 and degrees in (0, 1):
+        exp(-theta x) and exp(-z); expm1 of -theta x, -theta (1 - x) and
+        min(z, 1); log of the positive branch's sum and of expm1(min(z,
+        1)); log1p(-e^{-z}) for z > ln 2; logaddexp(0, w) of the negative
+        branch's log-space sum."""
+        def mag(top):
+            return self.magnitudes(rng, top)
+
+        return {
+            np.exp: -mag(THETA_MAX),
+            np.expm1: np.concatenate((-mag(THETA_MAX), mag(1.0))),
+            np.log: mag(math.e - 1.0),
+            np.log1p: -mag(0.5),
+            np.logaddexp: np.concatenate((-mag(2 * THETA_MAX),
+                                          mag(2 * THETA_MAX))),
+        }
+
+    def test_same_bits_alone_strided_gathered_and_in_a_long_array(self):
+        rng = np.random.default_rng(20)
+        for ufunc, args in self.arguments(rng).items():
+            def f(a, out=None):
+                if ufunc is np.logaddexp:
+                    return ufunc(0.0, a, out=out)
+                return ufunc(a, out=out)
+
+            k = len(args)
+            alone = np.array([f(np.asarray(a)) for a in args])
+            strided = np.zeros(3 * k)
+            strided[1::3] = args
+            strided = f(strided[1::3])
+            # a long array of other arguments from the same range, with
+            # these at random positions of every alignment
+            pool = rng.permutation(np.resize(args, self.POOL))
+            at = np.sort(rng.choice(self.POOL, k, replace=False))
+            pool[at] = args
+            taken = np.zeros(self.POOL, dtype=bool)
+            taken[at] = True
+            gathered = pool[taken]
+            f(gathered, out=gathered)
+            in_pool = f(pool)[at]
+            for got in (strided, gathered, in_pool):
+                assert_same_bits(got, alone)
