@@ -23,17 +23,17 @@ outcomes:
 
 so that changing rho or sigma alone never reorders the remaining stream.
 
-_sim_step keeps that schedule, down to each generator's full state after
-every step, with two Generator calls per run: one random(2k) fill, which
-draws the state and then the success uniforms as two random(k) calls do,
-and standard_normal(k). Each integers(bound) draw is numpy's own algorithm
-replayed in _bounded: Lemire's multiply-shift (x * bound) >> 32 on the next
-32-bit draw x of the bit generator, taken through its ctypes next_uint32
-(the low half of a fresh 64-bit word, the next call its buffered high
-half), and redrawn while the product's low 32 bits fall below
-2**32 % bound. The half-word buffer, a buffered half left for the next
-step, and every rejection are therefore numpy's own; integers(1) (k = 2)
-draws nothing.
+_draw_events keeps that schedule, down to each generator's full state
+after every step, with two Generator calls per run and step: one
+random(2k) fill, which draws the state and then the success uniforms as
+two random(k) calls do, and standard_normal(k). Each integers(bound) draw
+is numpy's own algorithm replayed in _bounded: Lemire's multiply-shift
+(x * bound) >> 32 on the next 32-bit draw x of the bit generator, taken
+through its ctypes next_uint32 (the low half of a fresh 64-bit word, the
+next call its buffered high half), and redrawn while the product's low 32
+bits fall below 2**32 % bound. The half-word buffer, a buffered half left
+for the next step, and every rejection are therefore numpy's own;
+integers(1) (k = 2) draws nothing.
 
 Runs that share their shape (every SimParams field except rho, sigma,
 seed and the value of theta within its Frank branch, see lockstep_key)
@@ -50,11 +50,12 @@ the probabilistic model the belief itself), draws states, adds the noise
 to the observed qualities, clamps them into [0, 1] and builds the evidence
 rows; it fuses pairs and evidence in one _fuse_rows or _product_rows call,
 counts each run's degenerate product fusions and writes each fused row to
-the agents that adopt it. _sim_step makes two passes per step, its pairs and then the
-agents that take evidence, which so read their beliefs after the pair
-fusion. The kernels are rowwise and every agent's uniform is still drawn,
-so each agent gets the state, bit for bit, that a draw for every agent
-gives it.
+the agents that adopt it. Both stepping paths below take their events
+from _draw_events. _sim_step draws one step and makes two passes, its
+pairs and then the agents that take evidence, which so read their beliefs
+after the pair fusion. The kernels are rowwise and every agent's uniform
+is still drawn, so each agent gets the state, bit for bit, that a draw for
+every agent gives it.
 
 Which agents a step touches, the fused pair and the agents whose success
 uniform falls below rho, is fixed by the draws and not by the beliefs. So a
@@ -62,7 +63,8 @@ sparse batch, whose expected evidence rows per step (the sum of rho * k over
 its runs) fall below _SPARSE_ROWS, is stepped by dependency level
 (_run_levels) rather than one _sim_step at a time (_run_steps):
 
-- the steps are drawn a chunk at a time, every run on the schedule above;
+- the steps are drawn by one _draw_events call per chunk of at most
+  _WINDOW_DRAWS agent steps (R * k per step), or of one step;
 - each event, a pair fusion or one agent's evidence, gets a level one past
   the highest level of any agent it reads or writes, and gives that level to
   those agents. A step's pair comes before its evidence, so an adopter's
@@ -87,11 +89,11 @@ those of steps 1 to steps.
 At the paper's population (100 agents, 5 states, rho = 0.05) a step of one
 or two runs fuses about a dozen rows in some 140 numpy calls. Fig8's
 possibilistic batch, 2 runs of 750 steps, holds 8,999 events: one level
-window takes them in 107 passes, where level windows of one 32-step chunk
-would take 196 and the step loop takes 1,500. The constants, as measured on a 2-vCPU
-host (time by level over time step by step, at 100 agents and 5 states,
-both models and both capture modes, medians of 15-21 alternations of
-200 steps):
+window takes them in 107 passes, where level windows of one 40-step chunk
+would take 180 and the step loop takes 1,500. The constants, as measured
+on a 2-vCPU host (time by level over time step by step, at 100 agents and
+5 states, both models and both capture modes, medians of 15-21
+alternations of 200 steps):
 
 - _SPARSE_ROWS = 256 sits at or below the crossover: 2 runs at rho = 1
   (200 rows), where every agent takes evidence every step, take 0.84-1.01
@@ -99,17 +101,22 @@ both models and both capture modes, medians of 15-21 alternations of
   0.83-1.00; 50 runs at rho = 0.05 (250 rows) 0.84-0.94; 60 runs (300
   rows) 0.88-0.98; 3 runs at rho = 1 (300 rows) 0.92-1.05; 100 runs
   (500 rows) 0.93-1.02.
-- _WINDOW_STEPS = 32 and _WINDOW_DRAWS = 2**17 size a chunk of draws, 24
-  bytes per agent and step: 3 MiB at most where runs or agents are many
-  (26 steps at 50 runs of 100 agents), 150 kB for 32 steps of 2 runs.
-  Level windows span chunks, so a chunk's size leaves the passes alone:
-  fig8's batch takes 107 passes with chunks of 8 to 128 steps.
+- _WINDOW_DRAWS = 2**13 bounds a chunk of draws, 24 bytes per agent and
+  step, at 192 KiB, or at one step's where a step holds more: 40 steps
+  at 2 runs of 100 agents, one step at 50 runs. Level windows span
+  chunks, so a chunk's size leaves the passes alone: fig8's batch takes
+  107 passes with chunks of 1 to 128 steps.
+  Against 2**17 (3 MiB), time at 2**13 reads 0.99-1.02 at 2 runs of 100
+  agents (rho = 0.05 and 1) and 1.03-1.06 at 50 runs, where each
+  one-step chunk pays its own numpy calls (medians of 9 in-process
+  alternations).
 - _WINDOW_EVENTS = 2**15 caps a level window's arrays, about 125 bytes
   per event, at about 4 MB. Fig8's batch fits in one window
-  (2**12 events take 112 passes, 2**13 108); 50 runs at rho = 0.05 hold
-  about 300 events per step, and take 109, 80, 66 and 52 passes per 300
-  steps with caps of 2**13, 2**14, 2**15 and 2**17, at times that the
-  host's noise (about 10%) does not tell apart.
+  (2**12 events take 119 passes, 2**13 113); 50 runs at rho = 0.05 hold
+  about 300 events per step, and take 105, 83, 67 and 51 passes per 300
+  steps with caps of 2**13, 2**14, 2**15 and 2**17 (599 with a level
+  window per one-step chunk). Against 2**15, time at 2**13 reads
+  1.02-1.08 and at 2**17 0.92-1.02 (medians of 7).
 
 A batch's metrics are one (R, steps + 1, m) array whose last axis holds the
 METRICS[model] columns, in that order, and its degenerate product fusions
@@ -164,12 +171,11 @@ _LOW32 = _TWO32 - 1
 
 # run_batch steps a batch by dependency level when its expected evidence
 # rows per step, the sum of rho * k over its runs, fall below this; the
-# steps that one chunk draws ahead, and the most agent steps (R * k per
-# step) that it may draw; and the events at which a level window ends, at
-# a chunk's end. The module docstring gives their measurements.
+# most agent steps (R * k per step) that one chunk draws ahead, or one
+# step's; and the events at which a level window ends, at a chunk's end.
+# The module docstring gives their measurements.
 _SPARSE_ROWS = 256
-_WINDOW_STEPS = 32
-_WINDOW_DRAWS = 1 << 17
+_WINDOW_DRAWS = 1 << 13
 _WINDOW_EVENTS = 1 << 15
 
 # The metric columns of each model: the agent averages of Pi({s_n}) and
@@ -312,26 +318,42 @@ def _bounded(bits: np.random.BitGenerator, bound: int) -> int:
     return m >> 32
 
 
-def _draw_step(rngs: Sequence[np.random.Generator], params: SimParams,
-               pairs: list, u: np.ndarray, eps: np.ndarray) -> None:
-    """Every run's draws for one step, in its stream's order: with fusion,
-    a pair of distinct agents, uniform over ordered and hence unordered
-    pairs (j is shifted past i), appended to the flat list pairs as i, j
-    and the two agents that adopt the fused belief: i and j, or with
-    random-one adoption the one drawn, twice; then the state and success
-    uniforms into u, (R, 2, k), and the normals into eps, (R, k)."""
+def _draw_events(rngs: Sequence[np.random.Generator], params: SimParams,
+                 rho: np.ndarray, sigma: np.ndarray, u: np.ndarray,
+                 eps: np.ndarray, w: int) -> tuple[np.ndarray, ...]:
+    """Every run's draws for w steps, step by step, each run on its
+    stream's schedule (see the module docstring): the state and success
+    uniforms into u[:w], (w, R, 2, k), and the normals into eps[:w],
+    (w, R, k). Returns the events they fix: each step's pair of distinct
+    agents per run, uniform over ordered and hence unordered pairs (j is
+    shifted past i), as a (w, R, 4) array of agent rows, i and j and the
+    two that adopt the fused belief (i and j, or with random-one adoption
+    the one drawn, twice), or (w, 0, 4) without fusion; and, in step order,
+    each evidence event's flat agent step f, agent row f % (R * k) at step
+    f // (R * k), whose success uniform falls below its run's rho, with its
+    state uniform and its noise term."""
     k = params.agents
     random_one = params.fusion_adoption == ADOPT_RANDOM_ONE
-    for r, rng in enumerate(rngs):
-        if params.fusion_enabled:
-            bits = rng.bit_generator
-            i = _bounded(bits, k)
-            j = _bounded(bits, k - 1)
-            j += j >= i
-            pairs.extend((i, j) + ((i, j)[_bounded(bits, 2)],) * 2
-                         if random_one else (i, j, i, j))
-        rng.random(out=u[r])
-        rng.standard_normal(out=eps[r])
+    pairs = []
+    for t in range(w):
+        for rng, u_r, eps_r in zip(rngs, u[t], eps[t]):
+            if params.fusion_enabled:
+                bits = rng.bit_generator
+                i = _bounded(bits, k)
+                j = _bounded(bits, k - 1)
+                j += j >= i
+                pairs.extend((i, j) + ((i, j)[_bounded(bits, 2)],) * 2
+                             if random_one else (i, j, i, j))
+            rng.random(out=u_r)
+            rng.standard_normal(out=eps_r)
+    pairs = np.array(pairs, dtype=np.intp).reshape(w, -1, 4)
+    pairs += (np.arange(pairs.shape[1]) * k)[:, None]
+    f = (u[:w, :, 1] < rho[:, None]).ravel().nonzero()[0]
+    # agent step f = q * k + a is agent a of run q % R, and its state
+    # uniform u's flat entry 2f - a = f + q * k
+    q = f // k
+    return (pairs, f, u[:w].reshape(-1)[f + q * k],
+            sigma.take(q, mode="wrap") * eps[:w].reshape(-1)[f])
 
 
 def _fuse_events(rows_b: np.ndarray, possibilistic: bool,
@@ -383,26 +405,16 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     degenerate = np.zeros(r_count, dtype=np.int64)
     # the R populations as R*k agent rows (a view, so writes land in b)
     rows_b = b.reshape(r_count * k, n)
-
-    pairs = []  # i, j and the two adopters per run
-    u = np.empty((r_count, 2, k))  # state, then success uniforms
-    eps = np.empty((r_count, k))
-    _draw_step(rngs, params, pairs, u, eps)
-
+    u = np.empty((1, r_count, 2, k))  # state, then success uniforms
+    eps = np.empty((1, r_count, k))
+    pairs, rows, u_state, noise = _draw_events(rngs, params, rho, sigma, u,
+                                               eps, 1)
     if params.fusion_enabled:
-        run = np.arange(r_count)
-        # as rows of the R * k agent rows
-        pairs = np.array(pairs, dtype=np.intp).reshape(r_count, 4)
-        pairs += (run * k)[:, None]
-        _fuse_events(rows_b, possibilistic, qualities, theta, degenerate, run,
-                     pairs.T, r_count)
-    rows = (u[:, 1] < rho[:, None]).ravel().nonzero()[0]
+        _fuse_events(rows_b, possibilistic, qualities, theta, degenerate,
+                     np.arange(r_count), pairs[0].T, r_count)
     if rows.size:
-        run = rows // k  # the run of each row that takes evidence
-        # row r * k + a's state uniform is u's flat entry r * 2k + a
-        _fuse_events(rows_b, possibilistic, qualities, theta, degenerate, run,
-                     (rows,) * 4, 0, u.reshape(-1)[rows + run * k],
-                     sigma[run] * eps.reshape(-1)[rows])
+        _fuse_events(rows_b, possibilistic, qualities, theta, degenerate,
+                     rows // k, (rows,) * 4, 0, u_state, noise)
     return degenerate
 
 
@@ -477,7 +489,7 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     degenerate = np.zeros(r_count, dtype=np.int64)
     if trajectory:  # a copy: _window_metrics advances it in place
         columns = _metric_columns(rows_b, params.model).copy()
-    span = max(1, min(params.steps, _WINDOW_STEPS, _WINDOW_DRAWS // rk))
+    span = max(1, min(params.steps, _WINDOW_DRAWS // rk))
     u = np.empty((span, r_count, 2, k))  # state, then success uniforms
     eps = np.empty((span, r_count, k))
     r_pairs = r_count if params.fusion_enabled else 0
@@ -487,7 +499,6 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     most = max(_WINDOW_EVENTS, span * (r_pairs + rk))
     level_type = np.min_scalar_type(min(most, 2 * params.steps))
     agent_level = np.zeros(rk, dtype=level_type)
-    run_base = np.arange(r_pairs) * k
     # the level window's chunks: per chunk its first step, its steps, its
     # first pair and the evidence index at which each step begins; and
     # per chunk its pieces of the window's events: the pairs' rows i and j
@@ -544,15 +555,9 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     for t0 in range(0, params.steps, span):
         w = min(span, params.steps - t0)
 
-        # every run's draws for the chunk, step by step; pairs[t, r] holds
-        # the rows i and j and the two adopters of run r's pair at step t
-        pairs = []
-        for t in range(w):
-            _draw_step(rngs, params, pairs, u[t], eps[t])
-        pairs = np.array(pairs, dtype=np.intp).reshape(w, r_pairs, 4)
-        pairs += run_base[:, None]
         # evidence event f is agent row f % rk at step f // rk
-        f = (u[:w, :, 1] < rho[:, None]).ravel().nonzero()[0]
+        pairs, f, e_u, e_noise = _draw_events(rngs, params, rho, sigma, u,
+                                              eps, w)
         if chunks and p_held + e_held + w * r_pairs + f.size \
                 > _WINDOW_EVENTS:
             fuse_window()
@@ -578,11 +583,9 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
             np.add(agent_level[rows], 1, out=level)
             agent_level[rows] = level
 
-        # an evidence event's state uniform is u's flat entry 2f - f % k
-        for piece, value in zip(pieces, (
-                pairs.reshape(-1, 4), pair_level.ravel(), e_row, e_level,
-                u[:w].reshape(-1)[2 * f - f % k],
-                sigma[e_row // k] * eps[:w].reshape(-1)[f])):
+        for piece, value in zip(pieces, (pairs.reshape(-1, 4),
+                                         pair_level.ravel(), e_row, e_level,
+                                         e_u, e_noise)):
             piece.append(value)
         chunks.append((t0, w, p_held, (e_held + e_ends).tolist()))
         p_held += w * r_pairs

@@ -282,13 +282,21 @@ def _pool_map(fn, jobs: list, workers: int) -> list:
         raise
 
 
-def _map_jobs(runs, capture: str, workers: int) -> np.ndarray:
+def _map_jobs(spec: SweepSpec, capture: str, workers: int) -> np.ndarray:
+    """The metrics of every run of spec, in run order: a (grid * runs,
+    steps + 1, m) array, or (grid * runs, 1, m) with final capture."""
+    # the result first: one too large to allocate fails at once, not after
+    # every run's parameters are built and dealt (about 25 us per run)
+    point = apply_param(spec.base, spec.param, spec.grid[0])
+    metrics = np.empty((len(spec.grid) * spec.runs,
+                        1 if capture == CAPTURE_FINAL else point.steps + 1,
+                        len(METRICS[point.model])))
+    runs = _runs_for(spec)
     # a run's metrics do not depend on its batch
     batches = _batches(runs, _pool_size(workers, len(runs)))
     results = _pool_map(
         _run_job, [([runs[i] for i in batch], capture) for batch in batches],
         workers)
-    metrics = np.empty((len(runs), *results[0].shape[1:]), results[0].dtype)
     for batch, rows in zip(batches, results):
         metrics[batch] = rows
     return metrics
@@ -308,7 +316,7 @@ def collect_finals(spec: SweepSpec, workers: int = 1) -> np.ndarray:
     a (runs, m) array."""
     if len(spec.grid) != 1:
         raise ValueError("collect_finals needs a single-point grid")
-    return _map_jobs(_runs_for(spec), CAPTURE_FINAL, workers)[:, -1]
+    return _map_jobs(spec, CAPTURE_FINAL, workers)[:, -1]
 
 
 def collect_trajectories(spec: SweepSpec, workers: int = 1) -> np.ndarray:
@@ -316,7 +324,7 @@ def collect_trajectories(spec: SweepSpec, workers: int = 1) -> np.ndarray:
     order: a (runs, steps + 1, m) array."""
     if len(spec.grid) != 1:
         raise ValueError("collect_trajectories needs a single-point grid")
-    return _map_jobs(_runs_for(spec), CAPTURE_TRAJECTORY, workers)
+    return _map_jobs(spec, CAPTURE_TRAJECTORY, workers)
 
 
 def _fold(metrics: np.ndarray, xs, model: str) -> list[AggregateRecord]:
@@ -353,7 +361,7 @@ def sweep(spec: SweepSpec, workers: int = 1) -> list[AggregateRecord]:
     Results are folded in grid order after all runs complete, so the output
     is a pure function of the SweepSpec regardless of worker count.
     """
-    metrics = _map_jobs(_runs_for(spec), spec.capture, workers)
+    metrics = _map_jobs(spec, spec.capture, workers)
     if spec.capture == CAPTURE_TRAJECTORY:
         return aggregate_trajectories(metrics, spec.base.model)
     xs = [float(gi) if v is None else float(v) for gi, v in enumerate(spec.grid)]

@@ -417,6 +417,28 @@ class TestMainEndToEnd:
         assert done.stderr.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_runs_too_many_to_allocate_fail_cleanly(self, tmp_path):
+        # 10^10 runs of 2 steps' 2 metrics is 298 GiB of float64. The
+        # result is allocated before any run's parameters are built, which
+        # would take days, so the allocator refuses it at once; a child
+        # process under a 2 GiB address-space limit runs it
+        pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                 "from possibly.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", child, "run", "--seed", "1", "--runs",
+             "10000000000", "--agents", "2", "--states", "2", "--steps", "1",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: Unable to allocate ")
+        assert done.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_memory_error_without_message_names_itself(self, monkeypatch,
                                                        capsys):
         def exhausted(*args, **kwargs):

@@ -536,22 +536,22 @@ def advance_both(runs, final_only=False, buffered=False):
     return results
 
 
-# (_WINDOW_STEPS, _WINDOW_DRAWS, _WINDOW_EVENTS): the defaults; at the
-# default event cap, chunks of few steps, of few draws (one or two steps at
-# 100 agents) and of one step, so that a level window spans many chunks;
-# a cap of one event, so that each chunk with events is a level window;
-# and a cap below one chunk's events at 100 agents, which at a few agents
-# spans some chunks and ends mid-run
-WINDOWS = ((engine._WINDOW_STEPS, engine._WINDOW_DRAWS, engine._WINDOW_EVENTS),
-           (3, 1 << 17, 1 << 15), (32, 250, 1 << 15), (1, 1, 1 << 15),
-           (32, 1 << 17, 1), (3, 1 << 17, 37))
+# (_WINDOW_DRAWS, _WINDOW_EVENTS): the defaults; at the default event cap,
+# chunks of three steps at two runs of 100 agents (six at one run, two at
+# three, and 25 or more at a few agents), chunks of a few steps at a few
+# agents (one step at 100 agents) and one-step chunks, so that a level
+# window spans many chunks; a cap of one event, so that each chunk with
+# events is a level window; and a cap of 37 events, which ends a level
+# window at every step of two runs of 100 agents and at a few agents spans
+# some chunks and ends mid-run
+WINDOWS = ((engine._WINDOW_DRAWS, engine._WINDOW_EVENTS), (600, 1 << 15),
+           (1, 1 << 15), (20, 1 << 15), (engine._WINDOW_DRAWS, 1), (20, 37))
 
 
 def windows(window):
-    """mock.patch.multiple's patch of engine's three window constants."""
-    return mock.patch.multiple(engine, _WINDOW_STEPS=window[0],
-                               _WINDOW_DRAWS=window[1],
-                               _WINDOW_EVENTS=window[2])
+    """mock.patch.multiple's patch of engine's two window constants."""
+    return mock.patch.multiple(engine, _WINDOW_DRAWS=window[0],
+                               _WINDOW_EVENTS=window[1])
 
 
 class TestLevels:
@@ -593,8 +593,9 @@ class TestLevels:
     def test_paper_population_over_several_windows(self, model, adoption,
                                                    window):
         # two runs of the paper's population, as the trajectory figures
-        # batch them, over 100 steps: at the defaults one level window of 4
-        # chunks, at the smaller caps 4 or 34 level windows
+        # batch them, over 100 steps: at the defaults one level window of 3
+        # chunks, with one-step chunks one of 100, and at the smaller caps 3
+        # or 100 level windows
         runs = [SimParams(agents=100, states=5, rho=rho, sigma=0.3,
                           theta=FrankParameter(theta=theta), steps=100,
                           model=model, seed=seed, fusion_adoption=adoption)
@@ -634,7 +635,7 @@ class TestLevels:
     def test_trajectory_workload_passes(self, monkeypatch):
         # fig8's possibilistic batch at the trajectory workload's size, 2
         # runs of 750 steps at seed 1: 8,999 events in one level window of
-        # 24 chunks take 107 passes (a level window per chunk takes 196)
+        # 19 chunks take 107 passes
         part = preset("fig8", seed=1).parts[0]
         spec = replace(part.spec, runs=2,
                        base=replace(part.spec.base, steps=750))
@@ -780,6 +781,66 @@ class TestBounded:
         assert rejections > 1000
 
 
+class TestDrawEvents:
+    """_draw_events over w steps, one chunk of the level path, returns the
+    events of w calls of one step, as _sim_step makes them: the same pairs,
+    evidence events (each step's shifted by the agent steps before it),
+    state uniforms and noise terms, the same draws in u and eps, and every
+    generator in the same state."""
+
+    @given(k=st.one_of(st.sampled_from((2, 100)), st.integers(3, 8)),
+           fusion=st.booleans(),
+           adoption=st.sampled_from((ADOPT_BOTH, ADOPT_RANDOM_ONE)),
+           mix=st.lists(st.tuples(rhos, st.floats(0.0, 3.0)),
+                        min_size=1, max_size=3),
+           buffered=st.booleans(), w=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32))
+    def test_a_chunk_equals_its_steps(self, k, fusion, adoption, mix,
+                                      buffered, w, seed):
+        p = params(agents=k, fusion_enabled=fusion, fusion_adoption=adoption)
+        rho, sigma = map(np.array, zip(*mix))
+        r_count = len(mix)
+        rngs = [fresh_rng(seed + r) for r in range(r_count)]
+        ref_rngs = [fresh_rng(seed + r) for r in range(r_count)]
+        if buffered:  # each stream enters the chunk with a half-word
+            for g in rngs + ref_rngs:
+                g.integers(5)
+        # a step more than the chunk draws, which it must leave alone
+        u = np.full((w + 1, r_count, 2, k), -1.0)
+        eps = np.full((w + 1, r_count, k), -1.0)
+        chunk = engine._draw_events(rngs, p, rho, sigma, u, eps, w)
+
+        steps, ref_u, ref_eps = [], [], []
+        for t in range(w):
+            u1, eps1 = np.empty((1, r_count, 2, k)), np.empty((1, r_count, k))
+            pairs, f, u_state, noise = engine._draw_events(
+                ref_rngs, p, rho, sigma, u1, eps1, 1)
+            steps.append((pairs, f + t * r_count * k, u_state, noise))
+            ref_u.append(u1)
+            ref_eps.append(eps1)
+        assert [a.tolist() for a in chunk] == \
+            [np.concatenate(a).tolist() for a in zip(*steps)]
+        assert u[:w].tolist() == np.concatenate(ref_u).tolist()
+        assert eps[:w].tolist() == np.concatenate(ref_eps).tolist()
+        assert (u[w] == -1.0).all() and (eps[w] == -1.0).all()
+        assert [stream_state(g) for g in rngs] \
+            == [stream_state(g) for g in ref_rngs]
+
+        # the events as the draws fix them: each run's pair within its own
+        # agent rows, and an evidence event at every success uniform below
+        # its run's rho, with its state uniform and sigma times its normal
+        pairs, f, u_state, noise = chunk
+        assert pairs.shape == (w, r_count if fusion else 0, 4)
+        assert (pairs // k == np.arange(pairs.shape[1])[:, None]).all()
+        assert (pairs[..., 0] != pairs[..., 1]).all()
+        t, r, a = np.unravel_index(f, (w, r_count, k))
+        assert f.tolist() == sorted(f.tolist())
+        assert f.size == (u[:w, :, 1] < rho[:, None]).sum()
+        assert (u[t, r, 1, a] < rho[r]).all()
+        assert u_state.tolist() == u[t, r, 0, a].tolist()
+        assert noise.tolist() == (sigma[r] * eps[t, r, a]).tolist()
+
+
 class TestNumericalEdges:
     @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
     def test_one_hot_population_stays_valid(self, model):
@@ -857,7 +918,7 @@ class TestHeapFaults:
     @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
     @pytest.mark.parametrize("pad_kb", (0, 8, 20, 32))
     def test_repeat_sparse_batch_takes_few_minor_faults(self, model, pad_kb):
-        # the paper's population, stepped by level: one level window of 3
+        # the paper's population, stepped by level: one level window of 2
         # chunks
         assert self.repeat_faults(model, pad_kb, 100, 5, 0.05, 80) \
             <= self.MAX_FAULTS

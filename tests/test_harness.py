@@ -623,9 +623,8 @@ class TestBatching:
     def test_dealt_rows_return_to_their_runs(self, monkeypatch, fresh_pool,
                                              capture):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-        runs = harness._runs_for(UNEVEN)
-        one = harness._map_jobs(runs, capture, 1)
-        three = harness._map_jobs(runs, capture, 3)
+        one = harness._map_jobs(UNEVEN, capture, 1)
+        three = harness._map_jobs(UNEVEN, capture, 3)
         assert harness._POOL[0] == 3
         assert one.shape == three.shape and one.tobytes() == three.tobytes()
 
