@@ -23,6 +23,7 @@ from .harness import (
     PRESET_NAMES,
     SWEEP_PARAMS,
     SweepSpec,
+    _EXAMPLE,
     apply_param,
     collect_trajectories,
     emit_csv,
@@ -33,7 +34,6 @@ from .harness import (
 )
 from .possibility import (
     FrankParameter,
-    PossibilityDistribution,
     StateSubset,
     consistency,
     frank_tnorm,
@@ -281,8 +281,7 @@ def _cmd_preset(cfg: CliConfig) -> int:
 def cmd_example() -> str:
     """The worked three-state example, computed live and formatted to four
     decimal places. Doubles as an end-to-end smoke test of the library."""
-    pi1 = PossibilityDistribution((1.0, 0.8, 0.7))
-    pi2 = PossibilityDistribution((0.4, 0.9, 1.0))
+    pi1, pi2 = _EXAMPLE
     theta = FrankParameter(theta=10.0)
 
     def row(values):

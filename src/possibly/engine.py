@@ -128,7 +128,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -140,7 +140,6 @@ from .environment import (
 )
 from .possibility import (
     FrankParameter,
-    _frank_branch,
     _FrankRows,
     _fuse_rows,
     _pignistic_rows,
@@ -281,17 +280,13 @@ class SimParams:
 # population array helpers
 # ---------------------------------------------------------------------------
 
-# stands in for every theta in a lockstep key, whose branch names the kernel
-_BLANK_THETA = FrankParameter(limit="product")
-
-
-def lockstep_key(params: SimParams) -> tuple[SimParams, str]:
-    """What runs must share to advance in one batch: every field but the
-    per-run rho, sigma, seed and theta, which are blanked, and theta's Frank
-    branch (min, lukasiewicz, product, positive or negative), which selects
-    the t-norm expression."""
-    return (replace(params, rho=0.0, sigma=0.0, seed=0, theta=_BLANK_THETA),
-            _frank_branch(params.theta))
+def lockstep_key(params: SimParams) -> tuple:
+    """What runs must share to advance in one batch: the tuple of every
+    SimParams field but the per-run rho, sigma, seed and theta, and then
+    theta's Frank branch (min, lukasiewicz, product, positive or
+    negative), which selects the t-norm expression."""
+    return (params.agents, params.states, params.steps, params.model,
+            params.fusion_enabled, params.fusion_adoption, params.theta.branch)
 
 
 def _initial_beliefs(params: SimParams, runs: int = 1) -> np.ndarray:

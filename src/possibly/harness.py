@@ -9,14 +9,16 @@ are derived by folding (grid index, run index) into the base seed through
 SeedSequence spawn keys, so a sweep is reproducible from a single integer
 and runs stay independent of worker count and scheduling order.
 
-Consecutive runs of one lockstep shape (engine.lockstep_key; a theta sweep
-is one shape per Frank branch) are stepped together by engine.run_batch,
-dealt round-robin into as many batches as there are workers to share them,
-so that each batch gets a like share of an ascending grid; a run's metrics
-do not depend on its batch. Runs come back as one
-(runs, steps + 1 or 1, m) array in run order and METRICS[model] column
-order, and every fold and CSV reads that array. The reversal curve spreads
-its points over the same pool, each point on its own seeded stream.
+Consecutive runs of one lockstep shape (engine.lockstep_key, the tuple of
+every SimParams field but rho, sigma, seed and theta, then theta's Frank
+branch; a theta sweep is one shape per branch) are stepped together by
+engine.run_batch, dealt round-robin into as many batches as there are
+workers to share them, so that each batch gets a like share of an
+ascending grid; a run's metrics do not depend on its batch. Runs come
+back as one (runs, steps + 1 or 1, m) array in run order and
+METRICS[model] column order, and every fold and CSV reads that array. The
+reversal curve spreads its points over the same pool, each point on its
+own seeded stream.
 
 A process has one worker pool. The first call that needs more than one
 worker forks it, and every later call of that size reuses its processes;
@@ -241,11 +243,13 @@ def _batches(runs, workers: int) -> list[range]:
 
 def _pool_size(workers: int, jobs: int) -> int:
     # the pool starts all its processes up front, so ask for no more than
-    # there are jobs and CPUs to give them
+    # there are jobs, and CPUs that this process may run on, to give them
     option = OPTIONS["workers"]
     if not option.in_range(workers):
         raise ValueError(f"workers {option.message}")
-    return min(workers, jobs, os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(workers, jobs, cpus)
 
 
 # (size, executor) of this process's one worker pool, or None before the
@@ -450,12 +454,10 @@ class Preset:
     parts: tuple[PresetPart, ...]
 
 
-PRESET_NAMES = ("fig2", "fig3", "fig4a", "fig4b", "fig5a", "fig5b",
-                "fig6a", "fig6b", "fig7", "fig8", "fig9", "fig10")
-
-# Worked three-state example used for the fusion curve.
-_EXAMPLE_PI1 = (1.0, 0.8, 0.7)
-_EXAMPLE_PI2 = (0.4, 0.9, 1.0)
+# The worked three-state example, pi1 and pi2: fig2's fusion curve and
+# `possibly example`.
+_EXAMPLE = (PossibilityDistribution((1.0, 0.8, 0.7)),
+            PossibilityDistribution((0.4, 0.9, 1.0)))
 
 _THETA_CURVE_GRID = tuple(np.geomspace(0.1, 100.0, 25).tolist())
 _THETA_SWEEP_GRID = tuple(np.geomspace(0.1, 100.0, 9).tolist())
@@ -463,80 +465,81 @@ _NOISE_GRID = tuple(np.round(np.linspace(0.0, 0.5, 11), 10).tolist())
 _RHO_GRID = (0.01,) + tuple(np.round(np.linspace(0.1, 1.0, 10), 10).tolist())
 _RHO_ZOOM_GRID = tuple(np.round(np.linspace(0.01, 0.11, 11), 10).tolist())
 
+# Each figure id's parts, in order: the file stem after "<id>_", then the
+# fields of preset()'s part().
+_PRESETS = {
+    "fig2": [("fusion_curve",
+              dict(kind="frank_curve", curve_grid=_THETA_CURVE_GRID))],
+    "fig3": [("reversal_curve",
+              dict(kind="reversal_curve", curve_grid=_NOISE_GRID))],
+    "fig4a": [("trajectory", dict(capture=CAPTURE_TRAJECTORY))],
+    "fig4b": [("trajectory",
+               dict(capture=CAPTURE_TRAJECTORY, fusion_enabled=False))],
+    "fig5a": [("theta_sweep", dict(param="theta", grid=_THETA_SWEEP_GRID))],
+    "fig5b": [("theta_sweep",
+               dict(param="theta", grid=_THETA_SWEEP_GRID, sigma=0.3))],
+    "fig6a": [("noise_sweep", dict(param="noise", grid=_NOISE_GRID))],
+    "fig6b": [("noise_sweep",
+               dict(param="noise", grid=_NOISE_GRID, fusion_enabled=False))],
+    "fig7": [
+        ("possibilistic_rho_sweep",
+         dict(param="evidence-rate", grid=_RHO_GRID, sigma=0.3)),
+        ("probabilistic_rho_sweep",
+         dict(model=PROBABILISTIC, param="evidence-rate", grid=_RHO_GRID,
+              sigma=0.3)),
+        ("possibilistic_rho_zoom",
+         dict(param="evidence-rate", grid=_RHO_ZOOM_GRID, sigma=0.3)),
+        ("probabilistic_rho_zoom",
+         dict(model=PROBABILISTIC, param="evidence-rate",
+              grid=_RHO_ZOOM_GRID, sigma=0.3)),
+    ],
+    "fig8": [
+        ("possibilistic_trajectory",
+         dict(capture=CAPTURE_TRAJECTORY, sigma=0.3)),
+        ("probabilistic_trajectory",
+         dict(model=PROBABILISTIC, capture=CAPTURE_TRAJECTORY, sigma=0.3)),
+    ],
+    "fig9": [
+        ("possibilistic_histogram",
+         dict(kind="histogram", metric="mean_poss_best", sigma=0.3)),
+        ("probabilistic_histogram",
+         dict(model=PROBABILISTIC, kind="histogram", metric="mean_prob_best",
+              sigma=0.3)),
+    ],
+    "fig10": [
+        ("possibilistic_trajectory",
+         dict(capture=CAPTURE_TRAJECTORY, rho=0.5, sigma=0.3, steps=3500)),
+        ("probabilistic_trajectory",
+         dict(model=PROBABILISTIC, capture=CAPTURE_TRAJECTORY, rho=0.5,
+              sigma=0.3, steps=3500)),
+    ],
+}
+PRESET_NAMES = tuple(_PRESETS)
+
 
 def preset(name: str, seed: int = DEFAULT_SEED) -> Preset:
     """The locked parameterisation behind each figure id."""
-    if name not in PRESET_NAMES:
+    if name not in _PRESETS:
         raise ValueError(
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
 
     def part(stem, *, model=POSSIBILISTIC, param=None, grid=(None,),
-             capture=CAPTURE_FINAL, kind=None, metric=None, **kw):
+             capture=CAPTURE_FINAL, kind=None, metric=None, curve_grid=None,
+             **kw):
+        if curve_grid is not None:  # a simulation-free curve
+            return PresetPart(stem=stem, kind=kind, curve_grid=curve_grid)
         base = replace(DEFAULT_PARAMS, model=model, seed=seed, **kw)
         spec = SweepSpec(base=base, param=param, grid=grid, capture=capture)
         if kind is None:
             kind = "trajectory" if capture == CAPTURE_TRAJECTORY else "aggregate"
         return PresetPart(stem=stem, kind=kind, spec=spec, metric=metric)
 
-    if name == "fig2":
-        parts = (PresetPart(stem="fig2_fusion_curve", kind="frank_curve",
-                            curve_grid=_THETA_CURVE_GRID),)
-    elif name == "fig3":
-        parts = (PresetPart(stem="fig3_reversal_curve", kind="reversal_curve",
-                            curve_grid=_NOISE_GRID),)
-    elif name == "fig4a":
-        parts = (part("fig4a_trajectory", capture=CAPTURE_TRAJECTORY),)
-    elif name == "fig4b":
-        parts = (part("fig4b_trajectory", capture=CAPTURE_TRAJECTORY,
-                      fusion_enabled=False),)
-    elif name == "fig5a":
-        parts = (part("fig5a_theta_sweep", param="theta", grid=_THETA_SWEEP_GRID),)
-    elif name == "fig5b":
-        parts = (part("fig5b_theta_sweep", param="theta", grid=_THETA_SWEEP_GRID,
-                      sigma=0.3),)
-    elif name == "fig6a":
-        parts = (part("fig6a_noise_sweep", param="noise", grid=_NOISE_GRID),)
-    elif name == "fig6b":
-        parts = (part("fig6b_noise_sweep", param="noise", grid=_NOISE_GRID,
-                      fusion_enabled=False),)
-    elif name == "fig7":
-        parts = (
-            part("fig7_possibilistic_rho_sweep", param="evidence-rate",
-                 grid=_RHO_GRID, sigma=0.3),
-            part("fig7_probabilistic_rho_sweep", model=PROBABILISTIC,
-                 param="evidence-rate", grid=_RHO_GRID, sigma=0.3),
-            part("fig7_possibilistic_rho_zoom", param="evidence-rate",
-                 grid=_RHO_ZOOM_GRID, sigma=0.3),
-            part("fig7_probabilistic_rho_zoom", model=PROBABILISTIC,
-                 param="evidence-rate", grid=_RHO_ZOOM_GRID, sigma=0.3),
-        )
-    elif name == "fig8":
-        parts = (
-            part("fig8_possibilistic_trajectory", capture=CAPTURE_TRAJECTORY,
-                 sigma=0.3),
-            part("fig8_probabilistic_trajectory", model=PROBABILISTIC,
-                 capture=CAPTURE_TRAJECTORY, sigma=0.3),
-        )
-    elif name == "fig9":
-        parts = (
-            part("fig9_possibilistic_histogram", kind="histogram",
-                 metric="mean_poss_best", sigma=0.3),
-            part("fig9_probabilistic_histogram", model=PROBABILISTIC,
-                 kind="histogram", metric="mean_prob_best", sigma=0.3),
-        )
-    else:  # fig10
-        parts = (
-            part("fig10_possibilistic_trajectory", capture=CAPTURE_TRAJECTORY,
-                 rho=0.5, sigma=0.3, steps=3500),
-            part("fig10_probabilistic_trajectory", model=PROBABILISTIC,
-                 capture=CAPTURE_TRAJECTORY, rho=0.5, sigma=0.3, steps=3500),
-        )
-    return Preset(name=name, parts=parts)
+    return Preset(name=name, parts=tuple(part(f"{name}_{stem}", **fields)
+                                         for stem, fields in _PRESETS[name]))
 
 
 def _frank_curve_records(grid) -> list[AggregateRecord]:
-    pi1 = PossibilityDistribution(_EXAMPLE_PI1)
-    pi2 = PossibilityDistribution(_EXAMPLE_PI2)
+    pi1, pi2 = _EXAMPLE
     records = []
     for theta in grid:
         fused = fuse(FrankParameter(theta=theta), pi1, pi2)

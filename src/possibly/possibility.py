@@ -11,9 +11,8 @@ into extra ignorance.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,10 +47,19 @@ class FrankParameter:
     Either a finite nonzero ``theta`` with |theta| <= 700, or one of the three
     symbolic limits: ``product`` (theta -> 0), ``min`` (theta -> +inf),
     ``lukasiewicz`` (theta -> -inf).
+
+    Two fields are derived from those at construction and take no part in
+    ==, hash, repr or pickling: ``branch``, the expression that the t-norm
+    evaluates ("min", "lukasiewicz", "product" for the limit and every
+    |theta| below THETA_PRODUCT_CUTOFF, "positive" or "negative"), and
+    ``const``, the closed form's constant, log(1 - e^{-theta}) on the
+    positive branch and log(e^{-theta} - 1) on the negative one, else None.
     """
 
     theta: float | None = None
     limit: str | None = None
+    branch: str = field(init=False, repr=False, compare=False)
+    const: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.theta is None) == (self.limit is None):
@@ -59,16 +67,33 @@ class FrankParameter:
         if self.limit is not None:
             if self.limit not in ("product", "min", "lukasiewicz"):
                 raise ValueError(f"unknown Frank limit variant: {self.limit!r}")
-            return
-        theta = float(self.theta)
-        if not math.isfinite(theta):
-            raise ValueError("theta must be finite")
-        if theta == 0.0:
-            raise ValueError("theta = 0 is not a member of the Frank family; "
-                             "use the product limit variant")
-        if abs(theta) > THETA_MAX:
-            raise ValueError(f"|theta| > {THETA_MAX:g} overflows; use a limit variant")
-        object.__setattr__(self, "theta", theta)
+        else:
+            theta = float(self.theta)
+            if not math.isfinite(theta):
+                raise ValueError("theta must be finite")
+            if theta == 0.0:
+                raise ValueError("theta = 0 is not a member of the Frank "
+                                 "family; use the product limit variant")
+            if abs(theta) > THETA_MAX:
+                raise ValueError(f"|theta| > {THETA_MAX:g} overflows; "
+                                 "use a limit variant")
+            object.__setattr__(self, "theta", theta)
+        theta, const = self.theta, None
+        if self.limit is not None:
+            branch = self.limit
+        elif abs(theta) < THETA_PRODUCT_CUTOFF:
+            branch = "product"
+        elif theta > 0:
+            branch, const = "positive", float(_log1mexp(np.asarray(theta)))
+        else:  # -theta >= the cutoff, so no log(0)
+            branch = "negative"
+            const = float(_log_expm1(np.array(-theta), np.empty(())))
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "const", const)
+
+    def __reduce__(self):
+        # pickle the inputs alone; unpickling derives the rest again
+        return type(self), (self.theta, self.limit)
 
     @classmethod
     def product_limit(cls) -> "FrankParameter":
@@ -179,67 +204,35 @@ def _log_expm1(z: np.ndarray, work: np.ndarray) -> np.ndarray:
     return z
 
 
-def _frank_branch(param: FrankParameter) -> str:
-    """Which expression _frank_values evaluates for param: "min",
-    "lukasiewicz", "product" (the limit and every |theta| below the cutoff),
-    "positive" or "negative"."""
-    if param.limit is not None:
-        return param.limit
-    if abs(param.theta) < THETA_PRODUCT_CUTOFF:
-        return "product"
-    return "positive" if param.theta > 0 else "negative"
-
-
 @dataclass(frozen=True)
 class _FrankRows:
-    """One Frank branch with its theta as a scalar or an (m, 1) column of
-    one theta per row, plus the closed form's per-theta constant
-    (log(1 - e^{-theta}) or log(e^{-theta} - 1)) in the same shape. The
-    three limit branches carry no theta."""
+    """One Frank branch with the theta and constant of its FrankParameters:
+    scalars when every theta is equal, which broadcast at less cost, or
+    (m, 1) columns of one per row. The limits and the product branch carry
+    neither."""
 
     branch: str
-    theta: np.ndarray | None = None
-    const: np.ndarray | None = None
+    theta: float | np.ndarray | None = None
+    const: float | np.ndarray | None = None
 
     @classmethod
-    def of(cls, params: FrankParameter | Sequence[FrankParameter]) -> "_FrankRows":
-        """A column for a sequence of FrankParameters, one row each, which
-        must all share the first's branch; a scalar for one FrankParameter
-        or a sequence of equal ones, which broadcasts at less cost."""
-        if isinstance(params, FrankParameter):
-            return _frank_rows_of_one(params)
-        branch = _frank_branch(params[0])
-        if branch not in ("positive", "negative"):
-            return cls(branch)
-        if all(p.theta == params[0].theta for p in params):
-            theta = np.asarray(params[0].theta, dtype=float)
-        else:
-            theta = np.array([[p.theta] for p in params])
-        if branch == "positive":
-            const = _log1mexp(theta)
-        else:  # -theta >= the cutoff, so no log(0)
-            const = _log_expm1(np.array(-theta), np.empty_like(theta))
-        return cls(branch, theta, const)
+    def of(cls, params: Sequence[FrankParameter]) -> "_FrankRows":
+        """One row per FrankParameter; all must share the first's branch."""
+        first = params[0]
+        if first.const is None:
+            return cls(first.branch)
+        if all(p.theta == first.theta for p in params):
+            return cls(first.branch, first.theta, first.const)
+        return cls(first.branch, np.array([[p.theta] for p in params]),
+                   np.array([[p.const] for p in params]))
 
     def take(self, rows: np.ndarray) -> "_FrankRows":
         """The theta and constant of the given rows; a scalar applies to
         every row and a limit branch carries none, so both come back as
         they are."""
-        if self.theta is None or self.theta.ndim == 0:
+        if not isinstance(self.theta, np.ndarray):
             return self
         return _FrankRows(self.branch, self.theta[rows], self.const[rows])
-
-
-@functools.lru_cache(maxsize=256)
-def _frank_rows_of_one(param: FrankParameter) -> _FrankRows:
-    # a FrankParameter is frozen and hashable, so the scalar calls
-    # (frank_tnorm, fuse) build its constant once; every caller shares the
-    # arrays, which are therefore read-only
-    frank = _FrankRows.of((param,))
-    for array in (frank.theta, frank.const):
-        if array is not None:
-            array.flags.writeable = False
-    return frank
 
 
 def _frank_values(param: FrankParameter | _FrankRows, x: np.ndarray,
@@ -248,9 +241,9 @@ def _frank_values(param: FrankParameter | _FrankRows, x: np.ndarray,
 
     T_theta(x, y) = -(1/theta) ln(1 + (e^{-theta x} - 1)(e^{-theta y} - 1)
     / (e^{-theta} - 1)), evaluated through expm1/log1p so that no
-    intermediate overflows or cancels for 1e-4 <= |theta| <= 700. A
-    _FrankRows param with an (m, 1) theta column gives row i of (m, n)
-    blocks its own theta.
+    intermediate overflows or cancels for 1e-4 <= |theta| <= 700. param's
+    branch, theta and const select the expression; a _FrankRows param with
+    (m, 1) columns gives row i of (m, n) blocks its own theta.
 
     T(0, y) = 0 and T(x, 1) = x are exact (Frank 1979), so an entry with
     min(x, y) = 0 or max(x, y) = 1 is min(x, y) as it stands, and the
@@ -264,34 +257,33 @@ def _frank_values(param: FrankParameter | _FrankRows, x: np.ndarray,
     out clamped into the t-norm envelope [max(0, x+y-1), min(x, y)].
     perfbench/tracing.py wraps this function by name.
     """
-    frank = param if isinstance(param, _FrankRows) else _FrankRows.of(param)
+    branch, theta, const = param.branch, param.theta, param.const
     lo = np.minimum(x, y)
-    if frank.branch == "min":
+    if branch == "min":
         return lo
     hi = np.maximum(x, y)
-    if frank.branch == "lukasiewicz":
+    if branch == "lukasiewicz":
         return np.maximum(0.0, lo + hi - 1.0)
-    if frank.branch == "product":
+    if branch == "product":
         return lo * hi
     open_ = (lo > 0.0) & (hi < 1.0)
     count = np.count_nonzero(open_)
     if count == open_.size:
         # every entry open, as in a scalar call: no gather; a 0-d input
         # gives scalar lo and hi, which out= cannot take, hence asarray
-        return _frank_open(frank.branch, frank.theta, frank.const,
-                           np.asarray(lo), np.asarray(hi))
+        return _frank_open(branch, theta, const, np.asarray(lo), np.asarray(hi))
     if not count:
         return lo
-    theta, const = frank.theta, frank.const
-    if theta.ndim:
+    if isinstance(theta, np.ndarray):  # a column, one theta per row
         theta = np.broadcast_to(theta, lo.shape)[open_]
         const = np.broadcast_to(const, lo.shape)[open_]
-    lo[open_] = _frank_open(frank.branch, theta, const, lo[open_], hi[open_])
+    lo[open_] = _frank_open(branch, theta, const, lo[open_], hi[open_])
     return lo
 
 
-def _frank_open(branch: str, theta: np.ndarray, const: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _frank_open(branch: str, theta: float | np.ndarray,
+                const: float | np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> np.ndarray:
     """The closed form of _frank_values' positive or negative branch on
     entries with 0 < lo and hi < 1, clamped into [max(0, lo + hi - 1), lo];
     theta and const broadcast against lo and hi, which are left as they

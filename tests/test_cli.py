@@ -477,7 +477,8 @@ class TestMainEndToEnd:
             assert os.getpid() != parent, "the point ran in the test process"
             os._exit(1)
 
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
         monkeypatch.setattr(harness, "reversal_probability", die)
         code = main(["preset", "fig3", "--workers", "2", "--out", str(tmp_path)])
         assert code == 1

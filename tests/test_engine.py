@@ -506,6 +506,52 @@ class TestLockstep:
             [run(product)[0].tolist(), run(tiny)[0].tolist()]
 
 
+def placeholder_key(p):
+    """The lockstep grouping stated through a placeholder SimParams: p with
+    rho, sigma, seed and theta blanked, and theta's Frank branch worked
+    out from theta and limit."""
+    if p.theta.limit is not None:
+        branch = p.theta.limit
+    elif abs(p.theta.theta) < 1e-4:
+        branch = "product"
+    else:
+        branch = "positive" if p.theta.theta > 0 else "negative"
+    return (replace(p, rho=0.0, sigma=0.0, seed=0,
+                    theta=FrankParameter.product_limit()), branch)
+
+
+# thetas on both sides of the 1e-4 cutoff and anywhere else, and the three
+# limits
+key_thetas = st.one_of(
+    st.one_of(st.sampled_from((1e-4, -1e-4, np.nextafter(1e-4, 0.0),
+                               -np.nextafter(1e-4, 0.0), 5e-5, -5e-5)),
+              st.floats(-700.0, 700.0).filter(bool)).map(
+        lambda t: FrankParameter(theta=float(t))),
+    st.sampled_from((FrankParameter.product_limit(),
+                     FrankParameter.min_limit(),
+                     FrankParameter.lukasiewicz_limit())))
+# every SimParams field, each from a few values, so that two draws often
+# share a key
+key_fields = dict(
+    agents=st.integers(2, 3), states=st.integers(2, 3),
+    rho=st.sampled_from((0.0, 0.5)), sigma=st.sampled_from((0.0, 1.0)),
+    theta=key_thetas, steps=st.integers(0, 1),
+    model=st.sampled_from((POSSIBILISTIC, PROBABILISTIC)),
+    seed=st.integers(0, 1), fusion_enabled=st.booleans(),
+    fusion_adoption=st.sampled_from((ADOPT_BOTH, ADOPT_RANDOM_ONE)))
+
+
+class TestLockstepKey:
+    @settings(max_examples=300)
+    @given(st.builds(SimParams, **key_fields),
+           st.fixed_dictionaries({}, optional=key_fields))
+    def test_groups_as_the_placeholder_key_does(self, a, changes):
+        # b is a with some fields drawn again, so both outcomes occur
+        b = replace(a, **changes)
+        assert (lockstep_key(a) == lockstep_key(b)) == \
+            (placeholder_key(a) == placeholder_key(b))
+
+
 def advance_both(runs, final_only=False, buffered=False):
     """The batch runs advanced by _run_steps and by _run_levels, each from
     streams seeded as run_batch seeds them, which with buffered enter with

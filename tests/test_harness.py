@@ -389,6 +389,14 @@ class TestPresets:
         for name in PRESET_NAMES:
             assert preset(name).name == name
 
+    def test_names_are_the_table_keys_in_figure_order(self):
+        assert PRESET_NAMES == tuple(harness._PRESETS) == (
+            "fig2", "fig3", "fig4a", "fig4b", "fig5a", "fig5b", "fig6a",
+            "fig6b", "fig7", "fig8", "fig9", "fig10")
+        for name in PRESET_NAMES:
+            for part in preset(name).parts:
+                assert part.stem.startswith(f"{name}_")
+
     def test_fig4a_matches_published_parameters(self):
         part = preset("fig4a").parts[0]
         base = part.spec.base
@@ -550,7 +558,8 @@ class TestParallelDeterminism:
     def test_group_split_across_two_workers_keeps_csv_bytes(self, tmp_path,
                                                             monkeypatch):
         # the six runs share one lockstep shape; two workers get 3 + 3
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
         spec = SweepSpec(base=tiny_params(steps=4), param="evidence-rate",
                          grid=(0.2, 0.8), runs=3)
         batches = harness._batches(harness._runs_for(spec), 2)
@@ -564,7 +573,8 @@ class TestParallelDeterminism:
                                                        monkeypatch):
         # two workers are dealt the four runs 2 + 2; each batch's rows go
         # back to its runs' positions
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
         spec = SweepSpec(base=tiny_params(), runs=4, capture="trajectory")
         batches = harness._batches(harness._runs_for(spec), 2)
         assert [len(batch) for batch in batches] == [2, 2]
@@ -576,7 +586,8 @@ class TestParallelDeterminism:
     def test_reversal_curve_bytes_do_not_depend_on_workers(self, tmp_path,
                                                           monkeypatch):
         # its 11 points run on a 2-process pool, each on its own stream
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
         part = preset("fig3", seed=3).parts[0]
         p1 = run_part(part, tmp_path / "w1", workers=1, seed=3)
         p2 = run_part(part, tmp_path / "w2", workers=2, seed=3)
@@ -622,7 +633,8 @@ class TestBatching:
     @pytest.mark.parametrize("capture", ["final", "trajectory"])
     def test_dealt_rows_return_to_their_runs(self, monkeypatch, fresh_pool,
                                              capture):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2})
         one = harness._map_jobs(UNEVEN, capture, 1)
         three = harness._map_jobs(UNEVEN, capture, 3)
         assert harness._POOL[0] == 3
@@ -647,8 +659,9 @@ class TestBatching:
 
 
 class TestWorkerCap:
-    """The pool is sized from the jobs and the CPUs. A fake executor records
-    the size asked for and maps in this process, so no process starts."""
+    """The pool is sized from the jobs and the CPUs that this process may
+    run on. A fake executor records the size asked for and maps in this
+    process, so no process starts."""
 
     @pytest.fixture
     def sizes(self, monkeypatch, fresh_pool):
@@ -665,7 +678,8 @@ class TestWorkerCap:
                 pass
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3})
         return sizes
 
     def test_pool_never_exceeds_cpus(self, sizes):
@@ -686,15 +700,29 @@ class TestWorkerCap:
 
     def test_one_job_or_one_cpu_runs_serially(self, sizes, monkeypatch):
         collect_finals(SweepSpec(base=tiny_params(steps=1), runs=1), workers=4)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0})
         collect_finals(SweepSpec(base=tiny_params(steps=1), runs=3), workers=4)
         assert sizes == []
+
+    def test_cpus_are_those_this_process_may_run_on(self, monkeypatch):
+        # as under `taskset -c 1` on a machine of four CPUs
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {1})
+        assert harness._pool_size(2, 10) == 1
+
+    @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+    def test_without_affinity_the_cpu_count_caps(self, monkeypatch, count,
+                                                 cpus):
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: count)
+        assert harness._pool_size(100, 100) == cpus
 
     @pytest.mark.parametrize("workers, cpus", [(1, 4), (3, 4), (100, 4),
                                                (100, 64)])
     def test_reversal_pool_never_exceeds_points_or_cpus(
             self, sizes, monkeypatch, tmp_path, workers, cpus):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
         monkeypatch.setattr(harness, "reversal_probability",
                             lambda *args, **kwargs: 0.5)
         run_part(preset("fig3").parts[0], tmp_path, workers)
@@ -729,7 +757,8 @@ class TestSharedPool:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch, fresh_pool):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
 
     def test_consecutive_calls_run_in_the_same_workers(self):
         first = harness._pool_map(_pid, range(4), 2)
@@ -756,7 +785,8 @@ class TestSharedPool:
         assert harness._pool_map(_square, [1, 2, 3, 4], 2) == [1, 4, 9, 16]
 
     def test_call_of_another_size_replaces_the_pool(self, monkeypatch):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2})
         assert harness._pool_map(_square, [1, 2, 3], 3) == [1, 4, 9]
         three = _workers()
         assert len(three) == 3 and harness._POOL[0] == 3
@@ -790,7 +820,7 @@ class TestSharedPool:
             def pid(_):
                 return os.getpid()
 
-            harness.os.cpu_count = lambda: 2
+            harness.os.sched_getaffinity = lambda pid: {0, 1}
             ran = harness._pool_map(pid, range(4), 2)
             workers = sorted(p.pid for p in multiprocessing.active_children())
             assert len(workers) == 2 and set(ran) <= set(workers), (ran, workers)

@@ -7,7 +7,9 @@ constant below was frozen from a 400-digit mpmath evaluation of the closed
 form, independent of the library code.
 """
 
+import copy
 import math
+import pickle
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -33,6 +35,8 @@ from possibly.possibility import (
     THETA_PRODUCT_CUTOFF,
     _frank_values,
     _FrankRows,
+    _log1mexp,
+    _log_expm1,
     _fuse_rows,
     _pignistic_rows,
 )
@@ -474,26 +478,25 @@ def frank_values_reference(param, x, y):
     """The Frank kernel in its plain form: every -theta and product
     computed where it is used, an np.clip/np.where tail. T(0, y) = 0 and
     T(x, 1) = x give min(x, y) as it is; np.clip alone would give +0.0
-    where min(x, y) is -0.0."""
-    frank = param if isinstance(param, _FrankRows) else _FrankRows.of(param)
+    where min(x, y) is -0.0. param is a FrankParameter or a _FrankRows."""
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
-    if frank.branch == "min":
+    if param.branch == "min":
         return lo
-    if frank.branch == "lukasiewicz":
+    if param.branch == "lukasiewicz":
         return np.maximum(0.0, lo + hi - 1.0)
-    if frank.branch == "product":
+    if param.branch == "product":
         return lo * hi
-    theta = frank.theta
-    if frank.branch == "positive":
+    theta = param.theta
+    if param.branch == "positive":
         s = np.exp(-theta * lo) * (-np.expm1(-theta * (1.0 - lo))) \
             + np.exp(-theta * hi) * (-np.expm1(-theta * lo))
         with np.errstate(divide="ignore"):
-            t = (frank.const - np.log(s)) / theta
+            t = (param.const - np.log(s)) / theta
     else:
         phi = -theta
         logr = log_expm1_reference(phi * lo) + log_expm1_reference(phi * hi) \
-            - frank.const
+            - param.const
         t = np.logaddexp(0.0, logr) / phi
     t = np.clip(t, np.maximum(0.0, lo + hi - 1.0), lo)
     return np.where((lo == 0.0) | (hi == 1.0), lo, t)
@@ -530,7 +533,8 @@ def frank_params(draw, branch, rows=None):
     or a theta below the cutoff."""
     if branch in ("min", "lukasiewicz") or (branch == "product"
                                            and draw(st.booleans())):
-        return FrankParameter(limit=branch)
+        limit = FrankParameter(limit=branch)
+        return limit if rows is None else [limit] * rows
     if rows is None:
         return FrankParameter(theta=draw(BRANCH_THETAS[branch]))
     thetas = draw(st.lists(BRANCH_THETAS[branch], min_size=rows, max_size=rows))
@@ -541,7 +545,8 @@ def frank_params(draw, branch, rows=None):
 
 @st.composite
 def frank_blocks(draw):
-    """Two (m, n) blocks of degrees and a FrankParameter or per-row list."""
+    """Two (m, n) blocks of degrees and a list of one FrankParameter per
+    row."""
     branch = draw(st.sampled_from(BRANCHES))
     m, n = draw(st.integers(1, 5)), draw(st.integers(2, 6))
     x = draw(arrays(np.float64, (m, n), elements=degrees))
@@ -574,8 +579,7 @@ class TestKernelReferences:
         # with 0 < min and max < 1, a scalar call on the entry in place
         param, x, y = block
         got = _frank_values(_FrankRows.of(param), x, y)
-        params = param if isinstance(param, list) else [param] * len(x)
-        for i, p in enumerate(params):
+        for i, p in enumerate(param):
             for j in range(x.shape[1]):
                 assert_same_bits(got[i, j], _frank_values(p, x[i, j], y[i, j]))
 
@@ -592,15 +596,54 @@ class TestKernelReferences:
         want = frank_values_reference(param, pi1.as_array(), pi2.as_array())
         assert consistency(param, pi1, pi2) == float(want.max())
 
-    @pytest.mark.parametrize("theta", [5.0, -5.0])
-    def test_one_parameter_is_built_once_and_read_only(self, theta):
-        # the scalar calls share one cached _FrankRows per parameter, so
-        # nothing may write to its arrays
-        frank = _FrankRows.of(FrankParameter(theta=theta))
-        assert _FrankRows.of(FrankParameter(theta=theta)) is frank
-        assert not frank.theta.flags.writeable
-        assert not frank.const.flags.writeable
-        assert _FrankRows.of([FrankParameter(theta=theta)]) is not frank
+    @given(st.sampled_from(BRANCHES).flatmap(
+        lambda branch: frank_params(branch, 3)))
+    def test_derived_fields_are_the_branch_and_constant(self, params):
+        # each parameter's branch and constant, and a column of them,
+        # against the expressions evaluated on theta as a 0-d array and
+        # as an (m, 1) column
+        for param in params:
+            branch, const = frank_derived_reference(param.theta, param.limit)
+            assert param.branch == branch
+            if const is None:
+                assert param.const is None
+            else:
+                assert_same_bits(param.const, const)
+        frank = _FrankRows.of(params)
+        if frank.const is not None and np.ndim(frank.theta):
+            assert_same_bits(frank.const,
+                             frank_derived_reference(frank.theta)[1])
+
+    @pytest.mark.parametrize("param", [
+        FrankParameter(theta=5.0), FrankParameter(theta=-5.0),
+        FrankParameter(theta=5e-5), FrankParameter.min_limit()],
+        ids=["positive", "negative", "product", "min"])
+    def test_derived_fields_stay_out_of_eq_hash_repr_and_pickle(self, param):
+        twin = copy.copy(param)
+        object.__setattr__(twin, "branch", "changed")
+        object.__setattr__(twin, "const", 0.5)
+        assert twin == param and hash(twin) == hash(param)
+        assert repr(param) == (f"FrankParameter(theta={param.theta!r}, "
+                               f"limit={param.limit!r})")
+        data = pickle.dumps(param)
+        assert b"branch" not in data and b"const" not in data
+        back = pickle.loads(data)
+        assert back == param
+        assert (back.branch, back.const) == (param.branch, param.const)
+
+
+def frank_derived_reference(theta, limit=None):
+    """(branch, constant) of a Frank parameter: the limit's name and None,
+    "product" and None below the cutoff, else the sign's branch and its
+    closed-form constant evaluated on theta as an array."""
+    if limit is not None:
+        return limit, None
+    theta = np.asarray(theta, dtype=float)
+    if np.all(abs(theta) < THETA_PRODUCT_CUTOFF):
+        return "product", None
+    if np.all(theta > 0):
+        return "positive", _log1mexp(theta)
+    return "negative", _log_expm1(np.array(-theta), np.empty_like(theta))
 
 
 def wide_thetas(rng, branch, rows):
@@ -609,7 +652,8 @@ def wide_thetas(rng, branch, rows):
     draws the limit or thetas below the cutoff."""
     if branch in ("min", "lukasiewicz") or (branch == "product"
                                            and rng.random() < 0.5):
-        return FrankParameter(limit=branch)
+        limit = FrankParameter(limit=branch)
+        return limit if rows is None else [limit] * rows
     if branch == "product":
         thetas = 0.99 * THETA_PRODUCT_CUTOFF * rng.uniform(-1.0, 1.0, rows or 1)
     else:
@@ -666,7 +710,8 @@ class TestWideRows:
     def test_frank_values_and_fuse_rows(self, branch, m, n, seed, mode_a,
                                         mode_b, per_row):
         rng = np.random.default_rng(seed)
-        frank = _FrankRows.of(wide_thetas(rng, branch, m if per_row else None))
+        frank = (_FrankRows.of(wide_thetas(rng, branch, m)) if per_row
+                 else wide_thetas(rng, branch, None))
         a, b = wide_rows(rng, m, n, mode_a), wide_rows(rng, m, n, mode_b)
         if frank.branch == "negative":
             assert_same_bits(frank.const, log_expm1_reference(-frank.theta))

@@ -54,7 +54,7 @@ def root(tmp_path_factory):
     # closed before and after, so none started under the patch outlives it
     harness._close_pool()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness.os, "cpu_count", lambda: 3)
+        patch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         try:
             for workers in WORKERS:
                 for argv, sub in INVOCATIONS:
