@@ -8,6 +8,7 @@ form, independent of the library code.
 """
 
 import copy
+import dataclasses
 import math
 import pickle
 from decimal import Decimal, localcontext
@@ -595,6 +596,22 @@ class TestKernelReferences:
         pi2 = data.draw(possibility_dists(min_states=pi1.n, max_states=pi1.n))
         want = frank_values_reference(param, pi1.as_array(), pi2.as_array())
         assert consistency(param, pi1, pi2) == float(want.max())
+
+    @pytest.mark.parametrize("theta", [5.0, -5.0])
+    def test_one_parameter_is_built_once_and_read_only(self, theta):
+        # the branch and constant are derived once, at construction: rows
+        # of one parameter carry its own theta and constant objects, and
+        # nothing may write to the parameter's fields
+        param = FrankParameter(theta=theta)
+        frank = _FrankRows.of([param, param])
+        assert frank.branch == param.branch
+        assert frank.theta is param.theta and frank.const is param.const
+        for obj, name in [(param, "theta"), (param, "limit"),
+                          (param, "branch"), (param, "const"),
+                          (frank, "branch"), (frank, "theta"),
+                          (frank, "const")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 1.0)
 
     @given(st.sampled_from(BRANCHES).flatmap(
         lambda branch: frank_params(branch, 3)))
