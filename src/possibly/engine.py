@@ -63,8 +63,9 @@ sparse batch, whose expected evidence rows per step (the sum of rho * k over
 its runs) fall below _SPARSE_ROWS, is stepped by dependency level
 (_run_levels) rather than one _sim_step at a time (_run_steps):
 
-- the steps are drawn by one _draw_events call per chunk of at most
-  _WINDOW_DRAWS agent steps (R * k per step), or of one step;
+- the steps are drawn by one _draw_events call per chunk of as many steps
+  as a level window may hold events of, R * k agent steps and R pairs
+  each, or of one step;
 - each event, a pair fusion or one agent's evidence, gets a level one past
   the highest level of any agent it reads or writes, and gives that level to
   those agents. A step's pair comes before its evidence, so an adopter's
@@ -89,8 +90,8 @@ those of steps 1 to steps.
 At the paper's population (100 agents, 5 states, rho = 0.05) a step of one
 or two runs fuses about a dozen rows in some 140 numpy calls. Fig8's
 possibilistic batch, 2 runs of 750 steps, holds 8,999 events: one level
-window takes them in 107 passes, where level windows of one 40-step chunk
-would take 180 and the step loop takes 1,500. The constants, as measured
+window takes them in 107 passes, where level windows of 40 steps would
+take 180 and the step loop takes 1,500. The constants, as measured
 on a 2-vCPU host (time by level over time step by step, at 100 agents and
 5 states, both models and both capture modes, medians of 15-21
 alternations of 200 steps):
@@ -101,21 +102,15 @@ alternations of 200 steps):
   0.83-1.00; 50 runs at rho = 0.05 (250 rows) 0.84-0.94; 60 runs (300
   rows) 0.88-0.98; 3 runs at rho = 1 (300 rows) 0.92-1.05; 100 runs
   (500 rows) 0.93-1.02.
-- _WINDOW_DRAWS = 2**13 bounds a chunk of draws, 24 bytes per agent and
-  step, at 192 KiB, or at one step's where a step holds more: 40 steps
-  at 2 runs of 100 agents, one step at 50 runs. Level windows span
-  chunks, so a chunk's size leaves the passes alone: fig8's batch takes
-  107 passes with chunks of 1 to 128 steps.
-  Against 2**17 (3 MiB), time at 2**13 reads 0.99-1.02 at 2 runs of 100
-  agents (rho = 0.05 and 1) and 1.03-1.06 at 50 runs, where each
-  one-step chunk pays its own numpy calls (medians of 9 in-process
-  alternations).
 - _WINDOW_EVENTS = 2**15 caps a level window's arrays, about 125 bytes
-  per event, at about 4 MB. Fig8's batch fits in one window
+  per event, at about 4 MB, and a chunk of draws, 24 bytes per agent
+  step, at 768 KiB, or at one step's where a step holds more: 162 steps
+  at 2 runs of 100 agents, 6 at 50 runs. Level windows span chunks, so a
+  chunk's size leaves the passes alone. Fig8's batch fits in one window
   (2**12 events take 119 passes, 2**13 113); 50 runs at rho = 0.05 hold
   about 300 events per step, and take 105, 83, 67 and 51 passes per 300
   steps with caps of 2**13, 2**14, 2**15 and 2**17 (599 with a level
-  window per one-step chunk). Against 2**15, time at 2**13 reads
+  window per step). Against 2**15, time at 2**13 reads
   1.02-1.08 and at 2**17 0.92-1.02 (medians of 7).
 
 A batch's metrics are one (R, steps + 1, m) array whose last axis holds the
@@ -169,12 +164,11 @@ _TWO32 = 1 << 32
 _LOW32 = _TWO32 - 1
 
 # run_batch steps a batch by dependency level when its expected evidence
-# rows per step, the sum of rho * k over its runs, fall below this; the
-# most agent steps (R * k per step) that one chunk draws ahead, or one
-# step's; and the events at which a level window ends, at a chunk's end.
+# rows per step, the sum of rho * k over its runs, fall below this; and
+# the events at which a level window ends, at a chunk's end, which also
+# bound the agent steps and pairs that one chunk draws ahead.
 # The module docstring gives their measurements.
 _SPARSE_ROWS = 256
-_WINDOW_DRAWS = 1 << 13
 _WINDOW_EVENTS = 1 << 15
 
 # The metric columns of each model: the agent averages of Pi({s_n}) and
@@ -314,21 +308,23 @@ def _bounded(bits: np.random.BitGenerator, bound: int) -> int:
 
 
 def _draw_events(rngs: Sequence[np.random.Generator], params: SimParams,
-                 rho: np.ndarray, sigma: np.ndarray, u: np.ndarray,
-                 eps: np.ndarray, w: int) -> tuple[np.ndarray, ...]:
+                 rho: np.ndarray, sigma: np.ndarray,
+                 w: int) -> tuple[np.ndarray, ...]:
     """Every run's draws for w steps, step by step, each run on its
     stream's schedule (see the module docstring): the state and success
-    uniforms into u[:w], (w, R, 2, k), and the normals into eps[:w],
-    (w, R, k). Returns the events they fix: each step's pair of distinct
-    agents per run, uniform over ordered and hence unordered pairs (j is
-    shifted past i), as a (w, R, 4) array of agent rows, i and j and the
-    two that adopt the fused belief (i and j, or with random-one adoption
-    the one drawn, twice), or (w, 0, 4) without fusion; and, in step order,
-    each evidence event's flat agent step f, agent row f % (R * k) at step
-    f // (R * k), whose success uniform falls below its run's rho, with its
-    state uniform and its noise term."""
+    uniforms, (w, R, 2, k), and the normals, (w, R, k). Returns the events
+    they fix: each step's pair of distinct agents per run, uniform over
+    ordered and hence unordered pairs (j is shifted past i), as a (w, R, 4)
+    array of agent rows, i and j and the two that adopt the fused belief
+    (i and j, or with random-one adoption the one drawn, twice), or
+    (w, 0, 4) without fusion; and, in step order, each evidence event's
+    flat agent step f, agent row f % (R * k) at step f // (R * k), whose
+    success uniform falls below its run's rho, with its state uniform and
+    its noise term."""
     k = params.agents
     random_one = params.fusion_adoption == ADOPT_RANDOM_ONE
+    u = np.empty((w, len(rngs), 2, k))  # state, then success uniforms
+    eps = np.empty((w, len(rngs), k))
     pairs = []
     for t in range(w):
         for rng, u_r, eps_r in zip(rngs, u[t], eps[t]):
@@ -343,12 +339,12 @@ def _draw_events(rngs: Sequence[np.random.Generator], params: SimParams,
             rng.standard_normal(out=eps_r)
     pairs = np.array(pairs, dtype=np.intp).reshape(w, -1, 4)
     pairs += (np.arange(pairs.shape[1]) * k)[:, None]
-    f = (u[:w, :, 1] < rho[:, None]).ravel().nonzero()[0]
+    f = (u[:, :, 1] < rho[:, None]).ravel().nonzero()[0]
     # agent step f = q * k + a is agent a of run q % R, and its state
     # uniform u's flat entry 2f - a = f + q * k
     q = f // k
-    return (pairs, f, u[:w].reshape(-1)[f + q * k],
-            sigma.take(q, mode="wrap") * eps[:w].reshape(-1)[f])
+    return (pairs, f, u.reshape(-1)[f + q * k],
+            sigma.take(q, mode="wrap") * eps.reshape(-1)[f])
 
 
 def _fuse_events(rows_b: np.ndarray, possibilistic: bool,
@@ -400,10 +396,7 @@ def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     degenerate = np.zeros(r_count, dtype=np.int64)
     # the R populations as R*k agent rows (a view, so writes land in b)
     rows_b = b.reshape(r_count * k, n)
-    u = np.empty((1, r_count, 2, k))  # state, then success uniforms
-    eps = np.empty((1, r_count, k))
-    pairs, rows, u_state, noise = _draw_events(rngs, params, rho, sigma, u,
-                                               eps, 1)
+    pairs, rows, u_state, noise = _draw_events(rngs, params, rho, sigma, 1)
     if params.fusion_enabled:
         _fuse_events(rows_b, possibilistic, qualities, theta, degenerate,
                      np.arange(r_count), pairs[0].T, r_count)
@@ -484,14 +477,13 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     degenerate = np.zeros(r_count, dtype=np.int64)
     if trajectory:  # a copy: _window_metrics advances it in place
         columns = _metric_columns(rows_b, params.model).copy()
-    span = max(1, min(params.steps, _WINDOW_DRAWS // rk))
-    u = np.empty((span, r_count, 2, k))  # state, then success uniforms
-    eps = np.empty((span, r_count, k))
     r_pairs = r_count if params.fusion_enabled else 0
-    # a level window holds at most _WINDOW_EVENTS events, or one chunk's;
-    # an event's level is at most one past the window's events before it,
+    # a chunk draws as many steps as a level window may hold events of, or
+    # one; a window so holds at most _WINDOW_EVENTS events, or one step's.
+    # An event's level is at most one past the window's events before it,
     # and a step raises the highest level by at most 2
-    most = max(_WINDOW_EVENTS, span * (r_pairs + rk))
+    span = max(1, min(params.steps, _WINDOW_EVENTS // (rk + r_pairs)))
+    most = max(_WINDOW_EVENTS, rk + r_pairs)
     level_type = np.min_scalar_type(min(most, 2 * params.steps))
     agent_level = np.zeros(rk, dtype=level_type)
     # the level window's chunks: per chunk its first step, its steps, its
@@ -551,8 +543,7 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
         w = min(span, params.steps - t0)
 
         # evidence event f is agent row f % rk at step f // rk
-        pairs, f, e_u, e_noise = _draw_events(rngs, params, rho, sigma, u,
-                                              eps, w)
+        pairs, f, e_u, e_noise = _draw_events(rngs, params, rho, sigma, w)
         if chunks and p_held + e_held + w * r_pairs + f.size \
                 > _WINDOW_EVENTS:
             fuse_window()

@@ -32,6 +32,7 @@ the interpreter exits.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import tempfile
 from collections.abc import Collection
@@ -194,6 +195,10 @@ def histogram(samples, bins: int = HISTOGRAM_BINS) -> tuple[tuple[float, int], .
 
     Returns (bin lower edge, count) pairs; counts sum to len(samples).
     """
+    try:
+        bins = operator.index(bins)
+    except TypeError:
+        raise ValueError("bins must be an integer") from None
     if bins < 1:
         raise ValueError("bins must be >= 1")
     arr = np.asarray(tuple(samples), dtype=float)

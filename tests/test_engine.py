@@ -582,22 +582,19 @@ def advance_both(runs, final_only=False, buffered=False):
     return results
 
 
-# (_WINDOW_DRAWS, _WINDOW_EVENTS): the defaults; at the default event cap,
-# chunks of three steps at two runs of 100 agents (six at one run, two at
-# three, and 25 or more at a few agents), chunks of a few steps at a few
-# agents (one step at 100 agents) and one-step chunks, so that a level
-# window spans many chunks; a cap of one event, so that each chunk with
-# events is a level window; and a cap of 37 events, which ends a level
-# window at every step of two runs of 100 agents and at a few agents spans
-# some chunks and ends mid-run
-WINDOWS = ((engine._WINDOW_DRAWS, engine._WINDOW_EVENTS), (600, 1 << 15),
-           (1, 1 << 15), (20, 1 << 15), (engine._WINDOW_DRAWS, 1), (20, 37))
+# level window caps (_WINDOW_EVENTS), which also bound a chunk of draws:
+# the default; 300, at which two runs of 100 agents draw one-step chunks
+# and a level window spans many of them (at a few agents chunks of several
+# steps); 1, so that each chunk with events is a level window; and 37,
+# which at a few agents ends a level window after a chunk or two of a few
+# steps, and so mid-run
+WINDOWS = (engine._WINDOW_EVENTS, 300, 1, 37)
+WINDOW_IDS = [f"window{i}" for i in range(len(WINDOWS))]
 
 
-def windows(window):
-    """mock.patch.multiple's patch of engine's two window constants."""
-    return mock.patch.multiple(engine, _WINDOW_DRAWS=window[0],
-                               _WINDOW_EVENTS=window[1])
+def windows(cap):
+    """mock.patch.object's patch of engine's level window cap."""
+    return mock.patch.object(engine, "_WINDOW_EVENTS", cap)
 
 
 class TestLevels:
@@ -635,13 +632,13 @@ class TestLevels:
 
     @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
     @pytest.mark.parametrize("adoption", (ADOPT_BOTH, ADOPT_RANDOM_ONE))
-    @pytest.mark.parametrize("window", WINDOWS[::2] + WINDOWS[-1:])
+    @pytest.mark.parametrize("window", WINDOWS, ids=WINDOW_IDS)
     def test_paper_population_over_several_windows(self, model, adoption,
                                                    window):
         # two runs of the paper's population, as the trajectory figures
-        # batch them, over 100 steps: at the defaults one level window of 3
-        # chunks, with one-step chunks one of 100, and at the smaller caps 3
-        # or 100 level windows
+        # batch them, over 100 steps: at the default cap one chunk and one
+        # level window, at 300 ten level windows of 2 to 12 one-step chunks,
+        # and at the smaller caps 100 level windows
         runs = [SimParams(agents=100, states=5, rho=rho, sigma=0.3,
                           theta=FrankParameter(theta=theta), steps=100,
                           model=model, seed=seed, fusion_adoption=adoption)
@@ -681,7 +678,7 @@ class TestLevels:
     def test_trajectory_workload_passes(self, monkeypatch):
         # fig8's possibilistic batch at the trajectory workload's size, 2
         # runs of 750 steps at seed 1: 8,999 events in one level window of
-        # 19 chunks take 107 passes
+        # 5 chunks take 107 passes
         part = preset("fig8", seed=1).parts[0]
         spec = replace(part.spec, runs=2,
                        base=replace(part.spec.base, steps=750))
@@ -695,6 +692,49 @@ class TestLevels:
         monkeypatch.setattr(engine, "_fuse_events", counted)
         run_batch(harness._runs_for(spec))
         assert (len(events), sum(events)) == (107, 8999)
+
+    def test_acceptance_shape_passes(self, monkeypatch):
+        # the 50 runs of the fig4 and fig8 acceptance fixtures' shape, 300
+        # steps of the default population at sigma = 0.3: 89,817 events in
+        # 3 level windows of 6-step chunks take 67 passes
+        runs = [replace(harness.DEFAULT_PARAMS, sigma=0.3, steps=300, seed=s)
+                for s in range(50)]
+        events = []  # per pass
+        fuse_events = engine._fuse_events
+
+        def counted(*args):
+            events.append(len(args[5]))
+            return fuse_events(*args)
+
+        monkeypatch.setattr(engine, "_fuse_events", counted)
+        run_batch(runs)
+        assert (len(events), sum(events)) == (67, 89817)
+
+    @pytest.mark.parametrize("window", WINDOWS, ids=WINDOW_IDS)
+    @pytest.mark.parametrize("r_count, k, fusion, steps", (
+        (2, 100, True, 30), (50, 100, True, 8), (3, 4, True, 100),
+        (1, 7, False, 100)))
+    def test_a_chunk_draws_at_most_a_window(self, r_count, k, fusion, steps,
+                                            window, monkeypatch):
+        # each _draw_events call of a level batch draws no more agent steps
+        # and pairs than a level window may hold events, unless it draws one
+        # step, and every call but the last draws as many steps as fit
+        runs = [params(agents=k, rho=0.05, sigma=0.3, steps=steps, seed=s,
+                       fusion_enabled=fusion) for s in range(r_count)]
+        per_step = r_count * k + (r_count if fusion else 0)
+        draws = []  # per call its steps
+        draw_events = engine._draw_events
+
+        def counted(rngs, p, rho, sigma, w):
+            draws.append(w)
+            return draw_events(rngs, p, rho, sigma, w)
+
+        monkeypatch.setattr(engine, "_draw_events", counted)
+        with windows(window):
+            run_batch(runs)
+        assert sum(draws) == steps
+        assert all(w * per_step <= window or w == 1 for w in draws)
+        assert all((w + 1) * per_step > window for w in draws[:-1])
 
     def test_degenerate_resets_match(self):
         runs = [SimParams(agents=6, states=3, rho=rho, sigma=2.0, theta=THETA20,
@@ -831,8 +871,9 @@ class TestDrawEvents:
     """_draw_events over w steps, one chunk of the level path, returns the
     events of w calls of one step, as _sim_step makes them: the same pairs,
     evidence events (each step's shifted by the agent steps before it),
-    state uniforms and noise terms, the same draws in u and eps, and every
-    generator in the same state."""
+    state uniforms and noise terms, and every generator in the same state;
+    and they are the events that the generator's own calls on the schedule
+    fix."""
 
     @given(k=st.one_of(st.sampled_from((2, 100)), st.integers(3, 8)),
            fusion=st.booleans(),
@@ -846,31 +887,39 @@ class TestDrawEvents:
         p = params(agents=k, fusion_enabled=fusion, fusion_adoption=adoption)
         rho, sigma = map(np.array, zip(*mix))
         r_count = len(mix)
-        rngs = [fresh_rng(seed + r) for r in range(r_count)]
-        ref_rngs = [fresh_rng(seed + r) for r in range(r_count)]
+        rngs, ref_rngs, own_rngs = (
+            [fresh_rng(seed + r) for r in range(r_count)] for _ in range(3))
         if buffered:  # each stream enters the chunk with a half-word
-            for g in rngs + ref_rngs:
+            for g in rngs + ref_rngs + own_rngs:
                 g.integers(5)
-        # a step more than the chunk draws, which it must leave alone
-        u = np.full((w + 1, r_count, 2, k), -1.0)
-        eps = np.full((w + 1, r_count, k), -1.0)
-        chunk = engine._draw_events(rngs, p, rho, sigma, u, eps, w)
+        chunk = engine._draw_events(rngs, p, rho, sigma, w)
 
-        steps, ref_u, ref_eps = [], [], []
+        steps = []
         for t in range(w):
-            u1, eps1 = np.empty((1, r_count, 2, k)), np.empty((1, r_count, k))
             pairs, f, u_state, noise = engine._draw_events(
-                ref_rngs, p, rho, sigma, u1, eps1, 1)
+                ref_rngs, p, rho, sigma, 1)
             steps.append((pairs, f + t * r_count * k, u_state, noise))
-            ref_u.append(u1)
-            ref_eps.append(eps1)
         assert [a.tolist() for a in chunk] == \
             [np.concatenate(a).tolist() for a in zip(*steps)]
-        assert u[:w].tolist() == np.concatenate(ref_u).tolist()
-        assert eps[:w].tolist() == np.concatenate(ref_eps).tolist()
-        assert (u[w] == -1.0).all() and (eps[w] == -1.0).all()
         assert [stream_state(g) for g in rngs] \
             == [stream_state(g) for g in ref_rngs]
+
+        # the generator's own calls on the schedule: per step and run the
+        # pair, state and success uniforms as one random(2k), then normals
+        own_pairs, u, eps = [], np.empty((w, r_count, 2, k)), \
+            np.empty((w, r_count, k))
+        for t in range(w):
+            for r, g in enumerate(own_rngs):
+                if fusion:
+                    i, j = draw_pair(g, k)
+                    adopters = [i, j]
+                    if adoption == ADOPT_RANDOM_ONE:
+                        adopters = [(i, j)[int(g.integers(2))]] * 2
+                    own_pairs.append([i, j] + adopters)
+                u[t, r] = g.random(2 * k).reshape(2, k)
+                eps[t, r] = g.standard_normal(k)
+        assert [stream_state(g) for g in rngs] \
+            == [stream_state(g) for g in own_rngs]
 
         # the events as the draws fix them: each run's pair within its own
         # agent rows, and an evidence event at every success uniform below
@@ -878,10 +927,11 @@ class TestDrawEvents:
         pairs, f, u_state, noise = chunk
         assert pairs.shape == (w, r_count if fusion else 0, 4)
         assert (pairs // k == np.arange(pairs.shape[1])[:, None]).all()
+        assert (pairs % k).reshape(-1, 4).tolist() == own_pairs
         assert (pairs[..., 0] != pairs[..., 1]).all()
         t, r, a = np.unravel_index(f, (w, r_count, k))
         assert f.tolist() == sorted(f.tolist())
-        assert f.size == (u[:w, :, 1] < rho[:, None]).sum()
+        assert f.size == (u[:, :, 1] < rho[:, None]).sum()
         assert (u[t, r, 1, a] < rho[r]).all()
         assert u_state.tolist() == u[t, r, 0, a].tolist()
         assert noise.tolist() == (sigma[r] * eps[t, r, a]).tolist()
@@ -964,8 +1014,8 @@ class TestHeapFaults:
     @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
     @pytest.mark.parametrize("pad_kb", (0, 8, 20, 32))
     def test_repeat_sparse_batch_takes_few_minor_faults(self, model, pad_kb):
-        # the paper's population, stepped by level: one level window of 2
-        # chunks
+        # the paper's population, stepped by level: one level window of one
+        # chunk
         assert self.repeat_faults(model, pad_kb, 100, 5, 0.05, 80) \
             <= self.MAX_FAULTS
 

@@ -111,6 +111,10 @@ class TestHistogram:
     def test_validation(self):
         with pytest.raises(ValueError):
             histogram([0.5], bins=0)
+        for bad in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match="bins must be an integer"):
+                histogram([0.5], bins=bad)
+        assert histogram([0.5], bins=np.int64(2)) == histogram([0.5], bins=2)
         for bad in (1.5, np.nan):
             with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
                 histogram([bad], bins=4)
