@@ -50,7 +50,15 @@ the probabilistic model the belief itself), draws states, adds the noise
 to the observed qualities, clamps them into [0, 1] and builds the evidence
 rows; it fuses pairs and evidence in one _fuse_rows or _product_rows call,
 counts each run's degenerate product fusions and writes each fused row to
-the agents that adopt it. Both stepping paths below take their events
+the agents that adopt it. An evidence event on a one-hot belief (one
+entry whose bits are not +0.0) whose state uniform is above 0 gives its
+row back bit for bit (_fuse_events states why), so a pass of at least
+_SPARSE_ROWS evidence events leaves such events out and fuses only the
+pairs and the rest. On the `large` benchmark (2 runs of 1000 agents x 20
+states at rho = 0.5, 150 steps, seed 1) that leaves out 82.4% of the
+possibilistic and 75.9% of the probabilistic evidence events, the share
+of one-hot beliefs among the agents that take evidence. Both stepping
+paths below take their events
 from _draw_events. _sim_step draws one step and makes two passes, its
 pairs and then the agents that take evidence, which so read their beliefs
 after the pair fusion. The kernels are rowwise and every agent's uniform
@@ -112,6 +120,13 @@ alternations of 200 steps):
   steps with caps of 2**13, 2**14, 2**15 and 2**17 (599 with a level
   window per step). Against 2**15, time at 2**13 reads
   1.02-1.08 and at 2**17 0.92-1.02 (medians of 7).
+- _SPARSE_ROWS also guards _fuse_events' one-hot test, which pays from a
+  pass of a few hundred evidence events (time with the test over time
+  without, medians of 9-15 in-process alternations): fig8's batches,
+  whose passes hold at most about 200 evidence events, read 1.04 with
+  guards of 0 and 64, 1.005 at 128 and 1.003 at 256; step loops of 300
+  and 500 evidence events per pass read 0.90-1.00 at 128, 0.90-0.99 at
+  256 and 0.97-1.01 at 512.
 
 A batch's metrics are one (R, steps + 1, m) array whose last axis holds the
 METRICS[model] columns, in that order, and its degenerate product fusions
@@ -164,10 +179,12 @@ _TWO32 = 1 << 32
 _LOW32 = _TWO32 - 1
 
 # run_batch steps a batch by dependency level when its expected evidence
-# rows per step, the sum of rho * k over its runs, fall below this; and
-# the events at which a level window ends, at a chunk's end, which also
-# bound the agent steps and pairs that one chunk draws ahead.
-# The module docstring gives their measurements.
+# rows per step, the sum of rho * k over its runs, fall below this, and
+# _fuse_events leaves one-hot beliefs' own evidence out of passes of at
+# least this many evidence events; and the events at which a level window
+# ends, at a chunk's end, which also bound the agent steps and pairs that
+# one chunk draws ahead. The module docstring gives their measurements
+# and crossovers.
 _SPARSE_ROWS = 256
 _WINDOW_EVENTS = 1 << 15
 
@@ -361,8 +378,39 @@ def _fuse_events(rows_b: np.ndarray, possibilistic: bool,
     own row). An evidence event's agent draws a state from its betting row
     with its uniform in u_state and observes that state's quality plus its
     term in noise, clamped into [0, 1]. Each run's degenerate product
-    fusions are added to degenerate."""
+    fusions are added to degenerate.
+
+    An evidence event whose gathered row holds one entry with bits other
+    than +0.0 (a one-hot belief), and whose state uniform is above 0,
+    gives its row back bit for bit, so in a pass of at least _SPARSE_ROWS
+    evidence events only the pairs and the other evidence events are
+    transformed, drawn, observed, fused and written, and such an event's
+    returned row is its gathered row:
+
+    - the lone entry is 1.0: _fuse_rows snaps each row's max to 1.0, and
+      product renormalisation divides a lone entry by itself. A row holding
+      -0.0 has nonzero bits there, so it is still fused;
+    - the betting row is then the row, so for any u > 0 _draw_states_rows
+      returns the hot state (u = 0 returns state 0);
+    - the possibilistic evidence is 1.0 there, so every Frank entry sits on
+      a boundary, min(x, y) = 0 or max(x, y) = 1: all five branches return
+      the row, and the normalisation adds +0.0;
+    - _product_rows returns e_s / e_s = 1.0 there and +0.0 elsewhere, with
+      e_s >= 1/n, so no reset."""
     x = rows_b[events[0]]
+    keep, writes = None, events[2]
+    if len(x) - pairs >= _SPARSE_ROWS:
+        # each evidence row's entries whose bits are not +0.0, counted by a
+        # product with ones, which at 1000 x 5 takes a sixth of the time of
+        # np.count_nonzero along rows
+        live = (x[pairs:].view(np.int64) != 0) @ np.ones(x.shape[1]) != 1.0
+        live |= u_state == 0.0
+        if not live.all():
+            keep = np.concatenate((np.arange(pairs), pairs + live.nonzero()[0]))
+            if not keep.size:
+                return x
+            gathered, x, writes, run = x, x[keep], writes[keep], run[keep]
+            u_state, noise = u_state[live], noise[live]
     y = rows_b[events[1][:pairs]] if pairs else None
     if pairs < len(x):
         ev = x[pairs:]
@@ -377,10 +425,13 @@ def _fuse_events(rows_b: np.ndarray, possibilistic: bool,
         fused, bad = _product_rows(x, y)
         if bad.any():
             degenerate += np.bincount(run[bad], minlength=degenerate.size)
-    rows_b[events[2]] = fused
+    rows_b[writes] = fused
     if pairs:
         rows_b[events[3][:pairs]] = fused[:pairs]
-    return fused
+    if keep is None:
+        return fused
+    gathered[keep] = fused
+    return gathered
 
 
 def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,

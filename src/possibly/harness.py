@@ -31,6 +31,7 @@ the interpreter exits.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import operator
 import os
@@ -312,11 +313,18 @@ def _map_jobs(spec: SweepSpec, capture: str, workers: int) -> np.ndarray:
 
 
 def _runs_for(spec: SweepSpec) -> list[SimParams]:
+    """Every run of spec, grid point by grid point: a copy of the point's
+    SimParams, checked once, with the run's derived seed. derive_run_seed
+    gives a 64-bit unsigned int, which needs no check, so no run is built
+    through __post_init__."""
     runs = []
     for gi, v in enumerate(spec.grid):
-        p0 = apply_param(spec.base, spec.param, v)
+        point = apply_param(spec.base, spec.param, v)
         for ri in range(spec.runs):
-            runs.append(replace(p0, seed=derive_run_seed(spec.base.seed, gi, ri)))
+            p = copy.copy(point)
+            object.__setattr__(p, "seed",
+                               derive_run_seed(spec.base.seed, gi, ri))
+            runs.append(p)
     return runs
 
 

@@ -1,7 +1,8 @@
 """Simulation engine: parameter validation, the fixed per-step draw
 schedule, the bounded integer draw, determinism, lockstep batching, stepping
-by dependency level, betting rows computed where the draw reads them,
-numerical edge cases, heap page faults, and population metrics.
+by dependency level, betting rows computed where the draw reads them, the
+event pass that leaves one-hot beliefs' own evidence out, numerical edge
+cases, heap page faults, and population metrics.
 
 The schedule contract tests replicate the engine's documented draw order
 with an identically seeded generator and check the resulting beliefs
@@ -50,8 +51,17 @@ from possibly.engine import (
     lockstep_key,
     run_batch,
 )
+from possibly.environment import (
+    _clamp_observations,
+    _default_qualities,
+    _evidence_rows,
+)
 from possibly.possibility import _FrankRows, _fuse_rows, _pignistic_rows
-from possibly.probability import DEGENERATE_MASS, _draw_states_rows
+from possibly.probability import (
+    DEGENERATE_MASS,
+    _draw_states_rows,
+    _product_rows,
+)
 
 THETA20 = FrankParameter(theta=20.0)
 # evidence rates, with both endpoints always among the examples
@@ -935,6 +945,240 @@ class TestDrawEvents:
         assert (u[t, r, 1, a] < rho[r]).all()
         assert u_state.tolist() == u[t, r, 0, a].tolist()
         assert noise.tolist() == (sigma[r] * eps[t, r, a]).tolist()
+
+
+def fuse_events_reference(rows_b, possibilistic, qualities, theta,
+                          degenerate, run, events, pairs, u_state=None,
+                          noise=None):
+    """_fuse_events without its one-hot filter: every evidence event is
+    transformed, drawn, observed, fused and written."""
+    x = rows_b[events[0]]
+    y = rows_b[events[1][:pairs]] if pairs else None
+    if pairs < len(x):
+        ev = x[pairs:]
+        si = _draw_states_rows(_pignistic_rows(ev) if possibilistic else ev,
+                               u_state)
+        ev = _evidence_rows(possibilistic, x.shape[1], si,
+                            _clamp_observations(qualities[si] + noise))
+        y = ev if y is None else np.concatenate((y, ev))
+    if possibilistic:
+        fused = _fuse_rows(theta.take(run), x, y)
+    else:
+        fused, bad = _product_rows(x, y)
+        if bad.any():
+            degenerate += np.bincount(run[bad], minlength=degenerate.size)
+    rows_b[events[2]] = fused
+    if pairs:
+        rows_b[events[3][:pairs]] = fused[:pairs]
+    return fused
+
+
+def event_pass(seed, model, r_count, n, pairs, evidence, hot_share,
+               zero_share, random_one):
+    """The beliefs, (R * k, n), and the arguments after them of one
+    _fuse_events pass: `pairs` pair fusions per run, then `evidence`
+    evidence events, all on disjoint rows. A hot_share of the rows are
+    one-hot, a twentieth of those with a -0.0 entry, and a zero_share of
+    the state uniforms are 0.0; the other rows hold exact zeros and ties."""
+    rng = np.random.default_rng(seed)
+    k = -(-(evidence + 2 * pairs * r_count + 1) // r_count)
+    rk = r_count * k
+    b = np.round(rng.random((rk, n)), 1)
+    b[np.arange(rk), rng.integers(n, size=rk)] = 1.0
+    if model == PROBABILISTIC:
+        b /= b.sum(axis=1)[:, None]
+    hot = (rng.random(rk) < hot_share).nonzero()[0]
+    states = rng.integers(n, size=hot.size)
+    b[hot] = 0.0
+    b[hot, states] = 1.0
+    negative = rng.random(hot.size) < 0.05
+    b[hot[negative], (states[negative] + 1) % n] = -0.0
+    # per run its pairs' rows i and j, then the rows left for evidence
+    order = np.argsort(rng.random((r_count, k)), axis=1) \
+        + (np.arange(r_count) * k)[:, None]
+    i, j = order[:, :pairs].ravel(), order[:, pairs:2 * pairs].ravel()
+    e_rows = rng.permutation(order[:, 2 * pairs:].ravel())[:evidence]
+    adopter = np.where(rng.random(i.size) < 0.5, i, j)
+    events = np.concatenate(
+        (np.stack((i, j) + ((adopter, adopter) if random_one else (i, j))),
+         np.stack((e_rows,) * 4)), axis=1)
+    u_state = rng.random(evidence)
+    u_state[rng.random(evidence) < zero_share] = 0.0
+    noise = 0.3 * rng.standard_normal(evidence)
+    return b, events[0] // k, events, i.size, u_state, noise
+
+
+def both_passes(b, possibilistic, qualities, theta, run, events, pairs,
+                u_state, noise):
+    """_fuse_events and fuse_events_reference on copies of b: per pass the
+    beliefs' bytes after it, the bytes of its returned rows and the
+    degenerate counts."""
+    results = []
+    for fuse_events in (engine._fuse_events, fuse_events_reference):
+        rows_b = b.copy()
+        degenerate = np.zeros(run.max(initial=0) + 1, dtype=np.int64)
+        rows = fuse_events(rows_b, possibilistic, qualities, theta,
+                           degenerate, run, events, pairs, u_state, noise)
+        assert rows.shape == (events.shape[1], b.shape[1])
+        results.append((rows_b.tobytes(), rows.tobytes(),
+                        degenerate.tolist()))
+    return results
+
+
+def one_hot(n, where):
+    """A (1, n) one-hot row, hot first, in the middle or last, and its hot
+    state."""
+    s = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    row = np.zeros((1, n))
+    row[0, s] = 1.0
+    return row, s
+
+
+def per_row(params):
+    """The _FrankRows of FrankParameters of one branch, with a theta and
+    constant column of one per row even where they are equal."""
+    first = params[0]
+    if first.const is None:
+        return _FrankRows(first.branch)
+    return _FrankRows(first.branch, np.array([[p.theta] for p in params]),
+                      np.array([[p.const] for p in params]))
+
+
+HOT = st.sampled_from(("first", "middle", "last"))
+# observed qualities, with both ends of the clamp among the examples
+observed = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+class TestOneHotEvidence:
+    """An evidence event on a one-hot belief whose state uniform is above 0
+    leaves the belief as it is, bit for bit: each kernel fact that rests
+    on, and _fuse_events, which leaves such events out of passes of at
+    least _SPARSE_ROWS evidence events, against the pass that fuses them."""
+
+    @given(n=st.integers(2, 20), where=HOT)
+    def test_pignistic_returns_the_row(self, n, where):
+        row, _ = one_hot(n, where)
+        assert _pignistic_rows(row).tobytes() == row.tobytes()
+
+    @given(n=st.integers(2, 20), where=HOT,
+           u=st.one_of(st.sampled_from((5e-324, 2.0 ** -53, 1 - 2.0 ** -53)),
+                       st.floats(0.0, 1.0, exclude_min=True,
+                                 exclude_max=True)))
+    def test_draw_returns_the_hot_state(self, n, where, u):
+        row, s = one_hot(n, where)
+        assert _draw_states_rows(row, np.array([u])).tolist() == [s]
+        assert _draw_states_rows(row, np.array([0.0])).tolist() == [0]
+
+    @given(n=st.integers(2, 20), where=HOT,
+           q=st.lists(observed, min_size=3, max_size=3), data=st.data())
+    def test_fusion_with_its_own_evidence_returns_the_row(self, n, where, q,
+                                                          data):
+        row, s = one_hot(n, where)
+        rows = row.repeat(len(q), axis=0)
+        si = np.full(len(q), s)
+        thetas = data.draw(branch_thetas(len(q)))
+        evidence = _evidence_rows(True, n, si, np.array(q))
+        for theta in (thetas[0], _FrankRows.of(thetas), per_row(thetas)):
+            fused = _fuse_rows(theta, rows.copy(), evidence)
+            assert fused.tobytes() == rows.tobytes()
+        fused, bad = _product_rows(rows.copy(),
+                                   _evidence_rows(False, n, si, np.array(q)))
+        assert fused.tobytes() == rows.tobytes()
+        assert not bad.any()
+
+    @settings(max_examples=150)
+    @given(model=st.sampled_from((POSSIBILISTIC, PROBABILISTIC)),
+           r_count=st.integers(1, 3), n=st.sampled_from((2, 3, 5, 20)),
+           pairs=st.integers(0, 2),
+           evidence=st.one_of(st.sampled_from((0, 1, 255, 256, 257)),
+                              st.integers(2, 600)),
+           hot_share=st.sampled_from((0.0, 0.5, 0.9, 1.0)),
+           zero_share=st.sampled_from((0.0, 0.0, 0.05, 0.5)),
+           random_one=st.booleans(), seed=st.integers(0, 2 ** 32),
+           data=st.data())
+    def test_pass_equals_the_unfiltered_pass(self, model, r_count, n, pairs,
+                                             evidence, hot_share, zero_share,
+                                             random_one, seed, data):
+        b, run, events, pair_count, u_state, noise = event_pass(
+            seed, model, r_count, n, pairs, evidence, hot_share, zero_share,
+            random_one)
+        if not events.shape[1]:
+            return
+        thetas = data.draw(branch_thetas(r_count))
+        got, want = both_passes(b, model == POSSIBILISTIC,
+                                _default_qualities(n), _FrankRows.of(thetas),
+                                run, events, pair_count, u_state, noise)
+        assert got == want
+
+    @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
+    @pytest.mark.parametrize("pairs", (0, 2))
+    def test_a_pass_that_drops_every_evidence_event(self, model, pairs,
+                                                    monkeypatch):
+        b, run, events, pair_count, u_state, noise = event_pass(
+            3, model, 2, 5, pairs, 300, 1.0, 0.0, False)
+        b[b == 0.0] = 0.0  # no -0.0 entries, so every evidence row drops
+        drawn = []
+        draw_states = engine._draw_states_rows
+
+        def counted(p, u):
+            drawn.append(len(u))
+            return draw_states(p, u)
+
+        monkeypatch.setattr(engine, "_draw_states_rows", counted)
+        got, want = both_passes(b, model == POSSIBILISTIC,
+                                _default_qualities(5), _FrankRows.of([THETA20]),
+                                run, events, pair_count, u_state, noise)
+        assert got == want
+        assert drawn == []
+        if not pairs:  # nothing fused: the beliefs stay as they were
+            assert got[0] == b.tobytes()
+
+    @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
+    def test_a_zero_uniform_on_a_hot_row_is_fused(self, model):
+        # at u = 0 the draw takes state 0, not the hot state, so the event
+        # can change its row and must be fused: with an observed quality of
+        # 1 the possibilistic row takes 1 at state 0 too, and the product
+        # has no mass left and resets to uniform
+        b, run, events, pair_count, u_state, noise = event_pass(
+            4, model, 1, 5, 0, 300, 1.0, 0.0, False)
+        b[b == 0.0] = 0.0
+        row = events[0, 0]
+        b[row] = 0.0
+        b[row, 3] = 1.0
+        u_state[0], noise[0] = 0.0, 5.0
+        got, want = both_passes(b, model == POSSIBILISTIC,
+                                _default_qualities(5), _FrankRows.of([THETA20]),
+                                run, events, pair_count, u_state, noise)
+        assert got == want
+        assert np.frombuffer(got[0]).reshape(b.shape)[row].tolist() \
+            != b[row].tolist()
+        assert got[2] == [0 if model == POSSIBILISTIC else 1]
+
+    @pytest.mark.parametrize("model, drawn, fused", (
+        (POSSIBILISTIC, 40300, 19556), (PROBABILISTIC, 40300, 18760)))
+    def test_large_shape_fuses_what_can_change(self, model, drawn, fused,
+                                               monkeypatch):
+        # the large benchmark's shape over 40 steps: of the evidence events
+        # drawn, the passes transform, draw and fuse only those not on a
+        # one-hot belief, about half of them by then
+        runs = [SimParams(agents=1000, states=20, rho=0.5, sigma=0.3,
+                          theta=THETA20, steps=40, model=model, seed=seed)
+                for seed in (1, 2)]
+        counts = [0, 0]
+        fuse_events, draw_states = engine._fuse_events, engine._draw_states_rows
+
+        def counted_events(*args):
+            counts[0] += len(args[5]) - args[7]
+            return fuse_events(*args)
+
+        def counted_draws(p, u):
+            counts[1] += len(u)
+            return draw_states(p, u)
+
+        monkeypatch.setattr(engine, "_fuse_events", counted_events)
+        monkeypatch.setattr(engine, "_draw_states_rows", counted_draws)
+        run_batch(runs)
+        assert counts == [drawn, fused]
 
 
 class TestNumericalEdges:

@@ -188,6 +188,35 @@ class TestSeedDerivation:
         assert derive_run_seed(1, 0, 0) != derive_run_seed(2, 0, 0)
 
 
+class TestRunsFor:
+    """_runs_for builds each grid point's SimParams once, checked, and
+    gives each run a copy with its derived seed alone."""
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(base=tiny_params(), runs=5),
+        SweepSpec(base=tiny_params(), param="theta",
+                  grid=(-1.0, 5e-5, 10.0), runs=4),
+        SweepSpec(base=tiny_params(seed=2 ** 64 - 1), param="agents",
+                  grid=(2, 9), runs=3)])
+    def test_equals_a_replace_per_run(self, spec, monkeypatch):
+        checked = []
+        post_init = SimParams.__post_init__
+
+        def counted(self):
+            checked.append(self)
+            post_init(self)
+
+        want = [replace(apply_param(spec.base, spec.param, v),
+                        seed=derive_run_seed(spec.base.seed, gi, ri))
+                for gi, v in enumerate(spec.grid) for ri in range(spec.runs)]
+        monkeypatch.setattr(SimParams, "__post_init__", counted)
+        runs = harness._runs_for(spec)
+        assert runs == want
+        assert [type(p.seed) for p in runs] == [int] * len(want)
+        # a grid point is checked where apply_param replaces its field
+        assert len(checked) == (0 if spec.param is None else len(spec.grid))
+
+
 class TestSweep:
     def test_single_run_aggregate_collapses(self):
         spec = SweepSpec(base=tiny_params(), param="theta", grid=(5.0,), runs=1)
