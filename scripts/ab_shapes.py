@@ -19,10 +19,12 @@ CHANGE first when it is odd. The shapes (SHAPES):
 
 Per shape it prints the median process time of each side, their ratio, in
 how many pairs the change was faster, the median minor faults of the
-batches and the largest ru_maxrss of the processes. It exits 1 if the two
-checkouts' metrics or degenerate counts differ anywhere. Peak RSS moves
-with the length of the checkout's path, so a warning says when the two
-paths differ in length.
+batches, the largest ru_maxrss of the processes and, per side, how its
+samples drew: "C" where the compiled draw (engine._DRAWS) was live in
+every sample, "py" where in none (a checkout without it included), "mixed"
+otherwise. It exits 1 if the two checkouts' metrics or degenerate counts
+differ anywhere. Peak RSS moves with the length of the checkout's path, so
+a warning says when the two paths differ in length.
 """
 
 from __future__ import annotations
@@ -69,17 +71,19 @@ def _batches(shape: str, steps: int | None, seed: int):
 
 def _sample(shape: str, steps: int | None, seed: int) -> dict:
     """Run one shape in this process: its process time, minor faults,
-    ru_maxrss, the sha256 of its outputs and the package it imported."""
+    ru_maxrss, the sha256 of its outputs, whether the compiled draw was
+    live and the package it imported."""
     import resource
     import time
 
     import possibly
-    from possibly.engine import run_batch
+    from possibly import engine
 
     batches = _batches(shape, steps, seed)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.process_time()
-    outputs = [run_batch(runs, final_only=final) for runs, final in batches]
+    outputs = [engine.run_batch(runs, final_only=final)
+               for runs, final in batches]
     cpu_s = time.process_time() - start
     usage = resource.getrusage(resource.RUSAGE_SELF)
     digest = hashlib.sha256()
@@ -88,6 +92,7 @@ def _sample(shape: str, steps: int | None, seed: int) -> dict:
         digest.update(degenerate.tobytes())
     return {"cpu_s": cpu_s, "minflt": usage.ru_minflt - before,
             "maxrss_kb": usage.ru_maxrss, "sha256": digest.hexdigest(),
+            "compiled": getattr(engine, "_DRAWS", None) is not None,
             "package": os.path.dirname(possibly.__file__)}
 
 
@@ -113,6 +118,12 @@ def _run_sample(checkout: str, shape: str, steps: int | None,
     return result
 
 
+def draw_path(samples: list[dict]) -> str:
+    """How a side's samples drew: "C", "py" or "mixed"."""
+    compiled = {s["compiled"] for s in samples}
+    return "mixed" if len(compiled) > 1 else "C" if compiled.pop() else "py"
+
+
 def summarize(shape: str, parent: list[dict], change: list[dict]) -> str:
     """One line of the table for a shape's paired samples; a SystemExit if
     their outputs differ."""
@@ -128,7 +139,8 @@ def summarize(shape: str, parent: list[dict], change: list[dict]) -> str:
             f"{statistics.median(s['minflt'] for s in parent):9.0f}"
             f"{statistics.median(s['minflt'] for s in change):9.0f}"
             f"{max(s['maxrss_kb'] for s in parent) / 1024:9.1f}"
-            f"{max(s['maxrss_kb'] for s in change) / 1024:9.1f}")
+            f"{max(s['maxrss_kb'] for s in change) / 1024:9.1f}"
+            f"{draw_path(parent):>7}{draw_path(change):>7}")
 
 
 def path_warning(parent: str, change: str) -> str | None:
@@ -172,7 +184,7 @@ def main(argv=None) -> int:
         print(warning, file=sys.stderr)
     print(f"{'shape':<9} {'parent ms':>10} {'change ms':>10} {'ratio':>7} "
           f"{'faster':>8}{'minflt p':>9}{'minflt c':>9}{'rss MB p':>9}"
-          f"{'rss MB c':>9}")
+          f"{'rss MB c':>9}{'draw p':>7}{'draw c':>7}")
     for shape in args.shapes:
         sides = ([], [])  # the parent's samples, then the change's
         for i in range(args.pairs):

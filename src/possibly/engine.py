@@ -24,16 +24,39 @@ outcomes:
 so that changing rho or sigma alone never reorders the remaining stream.
 
 _draw_events keeps that schedule, down to each generator's full state
-after every step, with two Generator calls per run and step: one
-random(2k) fill, which draws the state and then the success uniforms as
-two random(k) calls do, and standard_normal(k). Each integers(bound) draw
-is numpy's own algorithm replayed in _bounded: Lemire's multiply-shift
-(x * bound) >> 32 on the next 32-bit draw x of the bit generator, taken
-through its ctypes next_uint32 (the low half of a fresh 64-bit word, the
-next call its buffered high half), and redrawn while the product's low 32
-bits fall below 2**32 % bound. The half-word buffer, a buffered half left
-for the next step, and every rejection are therefore numpy's own;
-integers(1) (k = 2) draws nothing.
+after every step. Its draws, _draw_chunk, are one call per chunk of steps
+into draw_events of _draws.c, a C file next to this one, loaded by
+ctypes. Per step and run, on the run's own bitgen_t (taken from
+bits.capsule, once per batch), it draws the pair and then fills 2k
+uniforms, the state and then the success uniforms as two random(k) calls
+draw them, and k normals with random_standard_uniform_fill and
+random_standard_normal_fill of numpy's libnpyrandom.a, the functions that
+Generator.random(out=) and standard_normal(out=) run. Each
+integers(bound) draw is numpy's own algorithm replayed: Lemire's
+multiply-shift (x * bound) >> 32 on the next 32-bit draw x of the bit
+generator, taken through its next_uint32 (the low half of a fresh 64-bit
+word, the next call its buffered high half), and redrawn while the
+product's low 32 bits fall below 2**32 % bound. The half-word buffer, a
+buffered half left for the next step, and every rejection are therefore
+numpy's own; integers(1) (k = 2) draws nothing. Like _bounded, it takes
+no bits.lock.
+
+_load_draws builds the library with cc at import, against
+numpy/random/bitgen.h alone, into the package's __pycache__ under a name
+that hashes numpy's version, the source and the compile command; it
+builds under a temporary name and renames the file into place, so that
+processes that build at once leave one whole file. It builds at import,
+not at the first draw, because a child process's peak RSS starts at its
+parent's RSS, and perfbench's peak_rss_mb adds the largest reaped child's
+peak to its own. Measured on a 2-vCPU host in perfbench's order of calls,
+the compiler spawned at import read 34.8 MB, below the 36.2 MB of the
+uname child that perfbench spawns anyway, where the process had grown to
+41 MB after one warm-up repeat of `trajectory`. Where cc is missing, the
+cache cannot be written or the library does not build or load, _DRAWS
+is None, nothing is spawned and nothing is warned, and the Python loop
+draws the same bits: per run and step one random(2k) fill, one
+standard_normal(k) and the pair through _bounded, the same algorithm on
+the bit generator's ctypes next_uint32.
 
 Runs that share their shape (every SimParams field except rho, sigma,
 seed and the value of theta within its Frank branch, see lockstep_key)
@@ -135,9 +158,14 @@ one (R,) count array; run() returns a batch of one's row of each.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
+import os
+import shutil
 import sys
+import tempfile
+import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -324,24 +352,102 @@ def _bounded(bits: np.random.BitGenerator, bound: int) -> int:
     return m >> 32
 
 
-def _draw_events(rngs: Sequence[np.random.Generator], params: SimParams,
-                 rho: np.ndarray, sigma: np.ndarray,
-                 w: int) -> tuple[np.ndarray, ...]:
+def _load_draws(cache: str):
+    """_draws.c's draw_events, loaded by ctypes from its library in the
+    directory cache, which is built there first if it is missing; None,
+    for the Python loop, if it cannot be built or loaded. The library's
+    name holds a hash of numpy's version, the source and the compile
+    command. It is built under a temporary name and renamed into place,
+    so that builds at once leave one whole file; nothing is spawned when
+    cc is missing or cache cannot be written."""
+    source = os.path.join(os.path.dirname(__file__), "_draws.c")
+    library = os.path.join(os.path.dirname(np.__file__), "random", "lib",
+                           "libnpyrandom.a")
+    # -O1: the compiler's own peak RSS stays near 27 MB, where at -O2 it
+    # reaches 30 MB; the fills it links are compiled already
+    command = ["cc", "-O1", "-shared", "-fPIC", "-I", np.get_include(),
+               source, library, "-lm"]
+    try:
+        with open(source, "rb") as fh:
+            key = zlib.crc32(fh.read() + repr((np.__version__, command))
+                             .encode())
+    except OSError:
+        return None
+    path = os.path.join(cache, f"_draws-{key:08x}.so")
+    if not os.path.exists(path):
+        if shutil.which(command[0]) is None:
+            return None
+        try:
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+            os.fchmod(fd, 0o644)  # the linker adds x where r is set
+            os.close(fd)
+        except OSError:
+            return None
+        import subprocess
+
+        try:
+            done = subprocess.run(command + ["-o", tmp],
+                                  stdin=subprocess.DEVNULL,
+                                  stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL)
+            if done.returncode:
+                return None
+            os.replace(tmp, path)
+        except OSError:
+            return None
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    try:
+        draws = ctypes.CDLL(path).draw_events
+    except OSError:
+        return None
+    draws.argtypes = (ctypes.c_void_p,) + (ctypes.c_ssize_t,) * 3 \
+        + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 3
+    draws.restype = None
+    return draws
+
+
+# built at import, not at the first draw (see the module docstring)
+_DRAWS = _load_draws(os.path.join(os.path.dirname(__file__), "__pycache__"))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _bitgens(rngs: Sequence[np.random.Generator]):
+    """The bitgen_t pointers of rngs' bit generators, a ctypes array for
+    _DRAWS, or None where the Python loop draws. They are valid only while
+    rngs' generators live."""
+    if _DRAWS is None:
+        return None
+    return (ctypes.c_void_p * len(rngs))(
+        *[_capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
+          for rng in rngs])
+
+
+def _draw_chunk(rngs: Sequence[np.random.Generator], params: SimParams,
+                w: int, bitgens=None) -> tuple[np.ndarray, ...]:
     """Every run's draws for w steps, step by step, each run on its
-    stream's schedule (see the module docstring): the state and success
-    uniforms, (w, R, 2, k), and the normals, (w, R, k). Returns the events
-    they fix: each step's pair of distinct agents per run, uniform over
-    ordered and hence unordered pairs (j is shifted past i), as a (w, R, 4)
-    array of agent rows, i and j and the two that adopt the fused belief
-    (i and j, or with random-one adoption the one drawn, twice), or
-    (w, 0, 4) without fusion; and, in step order, each evidence event's
-    flat agent step f, agent row f % (R * k) at step f // (R * k), whose
-    success uniform falls below its run's rho, with its state uniform and
-    its noise term."""
-    k = params.agents
+    stream's schedule (see the module docstring), by one _DRAWS call on
+    bitgens, _bitgens(rngs) (built here if not given), or by the Python
+    loop where _DRAWS is None: each step's pair per run as agents of its
+    run, i and j and the two that adopt, (w, R, 4), or (w, 0, 4) without
+    fusion; the state and success uniforms, (w, R, 2, k); and the normals,
+    (w, R, k)."""
+    k, r_count = params.agents, len(rngs)
     random_one = params.fusion_adoption == ADOPT_RANDOM_ONE
-    u = np.empty((w, len(rngs), 2, k))  # state, then success uniforms
-    eps = np.empty((w, len(rngs), k))
+    u = np.empty((w, r_count, 2, k))  # state, then success uniforms
+    eps = np.empty((w, r_count, k))
+    if bitgens is None:
+        bitgens = _bitgens(rngs)
+    if bitgens is not None:
+        pairs = np.empty((w, r_count if params.fusion_enabled else 0, 4),
+                         dtype=np.intp)
+        _DRAWS(bitgens, r_count, w, k, params.fusion_enabled, random_one,
+               pairs.ctypes.data, u.ctypes.data, eps.ctypes.data)
+        return pairs, u, eps
     pairs = []
     for t in range(w):
         for rng, u_r, eps_r in zip(rngs, u[t], eps[t]):
@@ -354,7 +460,23 @@ def _draw_events(rngs: Sequence[np.random.Generator], params: SimParams,
                              if random_one else (i, j, i, j))
             rng.random(out=u_r)
             rng.standard_normal(out=eps_r)
-    pairs = np.array(pairs, dtype=np.intp).reshape(w, -1, 4)
+    return np.array(pairs, dtype=np.intp).reshape(w, -1, 4), u, eps
+
+
+def _draw_events(rngs: Sequence[np.random.Generator], params: SimParams,
+                 rho: np.ndarray, sigma: np.ndarray, w: int,
+                 bitgens=None) -> tuple[np.ndarray, ...]:
+    """The events that _draw_chunk(rngs, params, w, bitgens)'s draws fix:
+    each step's pair of distinct agents per run, uniform over ordered and
+    hence unordered pairs (j is shifted past i), as a (w, R, 4) array of
+    agent rows, i and j and the two that adopt the fused belief (i and j,
+    or with random-one adoption the one drawn, twice), or (w, 0, 4)
+    without fusion; and, in step order, each evidence event's flat agent
+    step f, agent row f % (R * k) at step f // (R * k), whose success
+    uniform falls below its run's rho, with its state uniform and its noise
+    term."""
+    pairs, u, eps = _draw_chunk(rngs, params, w, bitgens)
+    k = params.agents
     pairs += (np.arange(pairs.shape[1]) * k)[:, None]
     f = (u[:, :, 1] < rho[:, None]).ravel().nonzero()[0]
     # agent step f = q * k + a is agent a of run q % R, and its state
@@ -436,18 +558,21 @@ def _fuse_events(rows_b: np.ndarray, possibilistic: bool,
 
 def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
               rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
-              rngs: Sequence[np.random.Generator]) -> np.ndarray:
+              rngs: Sequence[np.random.Generator],
+              bitgens=None) -> np.ndarray:
     """Advance R same-shape populations, a (R, k, n) array, one step in
     place: one event pass for the pairs, then one for the agents that take
     evidence. params gives the shared shape; rho, sigma, theta (an (R, 1)
     column, or a scalar when all runs share it) and rngs hold one entry
-    per run. Returns each run's number of degenerate product fusions."""
+    per run, and bitgens, if given, is _bitgens(rngs). Returns each run's
+    number of degenerate product fusions."""
     r_count, k, n = b.shape
     possibilistic = params.model == POSSIBILISTIC
     degenerate = np.zeros(r_count, dtype=np.int64)
     # the R populations as R*k agent rows (a view, so writes land in b)
     rows_b = b.reshape(r_count * k, n)
-    pairs, rows, u_state, noise = _draw_events(rngs, params, rho, sigma, 1)
+    pairs, rows, u_state, noise = _draw_events(rngs, params, rho, sigma, 1,
+                                               bitgens)
     if params.fusion_enabled:
         _fuse_events(rows_b, possibilistic, qualities, theta, degenerate,
                      np.arange(r_count), pairs[0].T, r_count)
@@ -500,15 +625,16 @@ def _sparse(runs: Sequence[SimParams]) -> bool:
 def _run_steps(b: np.ndarray, params: SimParams, qualities: np.ndarray,
                rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
                rngs: Sequence[np.random.Generator],
-               metrics: np.ndarray) -> np.ndarray:
+               metrics: np.ndarray, bitgens=None) -> np.ndarray:
     """Run the batch b to params.steps one _sim_step at a time, writing the
     metrics of steps 1 to params.steps into metrics, an (R, steps, m)
-    view, unless it holds no steps. Returns each run's degenerate fusion
-    count."""
+    view, unless it holds no steps. bitgens, if given, is _bitgens(rngs).
+    Returns each run's degenerate fusion count."""
     trajectory = metrics.shape[1] > 0
     degenerate = np.zeros(b.shape[0], dtype=np.int64)
     for t in range(params.steps):
-        degenerate += _sim_step(b, params, qualities, rho, sigma, theta, rngs)
+        degenerate += _sim_step(b, params, qualities, rho, sigma, theta, rngs,
+                                bitgens)
         if trajectory:
             metrics[:, t] = _metrics_from_array(b, params.model)
     return degenerate
@@ -517,7 +643,7 @@ def _run_steps(b: np.ndarray, params: SimParams, qualities: np.ndarray,
 def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
                 rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
                 rngs: Sequence[np.random.Generator],
-                metrics: np.ndarray) -> np.ndarray:
+                metrics: np.ndarray, bitgens=None) -> np.ndarray:
     """_run_steps by dependency level (see the module docstring), to the
     same beliefs, metrics, counts and generator states."""
     r_count, k, n = b.shape
@@ -594,7 +720,8 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
         w = min(span, params.steps - t0)
 
         # evidence event f is agent row f % rk at step f // rk
-        pairs, f, e_u, e_noise = _draw_events(rngs, params, rho, sigma, w)
+        pairs, f, e_u, e_noise = _draw_events(rngs, params, rho, sigma, w,
+                                              bitgens)
         if chunks and p_held + e_held + w * r_pairs + f.size \
                 > _WINDOW_EVENTS:
             fuse_window()
@@ -707,8 +834,9 @@ def run_batch(runs: Sequence[SimParams],
     if not final_only:
         metrics[:, 0] = _metrics_from_array(b, shape.model)
     advance = _run_levels if _sparse(runs) else _run_steps
+    # the pointers once per batch; rngs keeps their generators alive
     degenerate = advance(b, shape, qualities, rho, sigma, theta, rngs,
-                         metrics[:, 1:])
+                         metrics[:, 1:], _bitgens(rngs))
     if final_only:
         metrics[:, 0] = _metrics_from_array(b, shape.model)
     return metrics, degenerate

@@ -9,7 +9,14 @@ with an identically seeded generator and check the resulting beliefs
 exactly; any silent reordering of stream consumption breaks them.
 """
 
+import ctypes
+import os
 import platform
+import shutil
+import subprocess
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -728,23 +735,28 @@ class TestLevels:
                                             window, monkeypatch):
         # each _draw_events call of a level batch draws no more agent steps
         # and pairs than a level window may hold events, unless it draws one
-        # step, and every call but the last draws as many steps as fit
+        # step, and every call but the last draws as many steps as fit; on
+        # the compiled draw and on the Python loop alike
         runs = [params(agents=k, rho=0.05, sigma=0.3, steps=steps, seed=s,
                        fusion_enabled=fusion) for s in range(r_count)]
         per_step = r_count * k + (r_count if fusion else 0)
-        draws = []  # per call its steps
         draw_events = engine._draw_events
+        outputs = []
+        for compiled in (engine._DRAWS, None):
+            draws = []  # per call its steps
 
-        def counted(rngs, p, rho, sigma, w):
-            draws.append(w)
-            return draw_events(rngs, p, rho, sigma, w)
+            def counted(rngs, p, rho, sigma, w, bitgens=None):
+                draws.append(w)
+                return draw_events(rngs, p, rho, sigma, w, bitgens)
 
-        monkeypatch.setattr(engine, "_draw_events", counted)
-        with windows(window):
-            run_batch(runs)
-        assert sum(draws) == steps
-        assert all(w * per_step <= window or w == 1 for w in draws)
-        assert all((w + 1) * per_step > window for w in draws[:-1])
+            monkeypatch.setattr(engine, "_draw_events", counted)
+            monkeypatch.setattr(engine, "_DRAWS", compiled)
+            with windows(window):
+                outputs.append(run_batch(runs)[0].tobytes())
+            assert sum(draws) == steps
+            assert all(w * per_step <= window or w == 1 for w in draws)
+            assert all((w + 1) * per_step > window for w in draws[:-1])
+        assert outputs[0] == outputs[1]
 
     def test_degenerate_resets_match(self):
         runs = [SimParams(agents=6, states=3, rho=rho, sigma=2.0, theta=THETA20,
@@ -883,7 +895,7 @@ class TestDrawEvents:
     evidence events (each step's shifted by the agent steps before it),
     state uniforms and noise terms, and every generator in the same state;
     and they are the events that the generator's own calls on the schedule
-    fix."""
+    fix; on the compiled draw and on the Python loop alike."""
 
     @given(k=st.one_of(st.sampled_from((2, 100)), st.integers(3, 8)),
            fusion=st.booleans(),
@@ -894,6 +906,12 @@ class TestDrawEvents:
            seed=st.integers(0, 2 ** 32))
     def test_a_chunk_equals_its_steps(self, k, fusion, adoption, mix,
                                       buffered, w, seed):
+        for compiled in (engine._DRAWS, None):
+            with mock.patch.object(engine, "_DRAWS", compiled):
+                self.check_chunk(k, fusion, adoption, mix, buffered, w,
+                                 seed)
+
+    def check_chunk(self, k, fusion, adoption, mix, buffered, w, seed):
         p = params(agents=k, fusion_enabled=fusion, fusion_adoption=adoption)
         rho, sigma = map(np.array, zip(*mix))
         r_count = len(mix)
@@ -945,6 +963,181 @@ class TestDrawEvents:
         assert (u[t, r, 1, a] < rho[r]).all()
         assert u_state.tolist() == u[t, r, 0, a].tolist()
         assert noise.tolist() == (sigma[r] * eps[t, r, a]).tolist()
+
+
+def draws_equal(compiled, rngs, ref_rngs, p, w):
+    """Whether _draw_chunk draws the same pairs, uniforms and normals with
+    the compiled draw `compiled` from rngs as the Python loop does from
+    ref_rngs, and leaves every stream in the same state, buffered
+    half-word included, with the same next integers and random draws."""
+    with mock.patch.object(engine, "_DRAWS", compiled):
+        got = engine._draw_chunk(rngs, p, w)
+    with mock.patch.object(engine, "_DRAWS", None):
+        want = engine._draw_chunk(ref_rngs, p, w)
+    return (all(a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            and [stream_state(g) for g in rngs]
+            == [stream_state(g) for g in ref_rngs]
+            and [(g.integers(p.agents), g.random()) for g in rngs]
+            == [(g.integers(p.agents), g.random()) for g in ref_rngs])
+
+
+needs_compiled = pytest.mark.skipif(engine._DRAWS is None,
+                                    reason="the compiled draw is not built")
+
+
+class TestCompiledDraws:
+    """The compiled draw gives the Python loop's bits and stream states,
+    and run_batch builds its bit generator pointers once per batch."""
+
+    @needs_compiled
+    @settings(max_examples=100)
+    @given(r_count=st.one_of(st.integers(1, 4), st.just(50)),
+           k=st.one_of(st.sampled_from((2, 100)), st.integers(3, 8)),
+           w=st.integers(1, 12), fusion=st.booleans(),
+           adoption=st.sampled_from((ADOPT_BOTH, ADOPT_RANDOM_ONE)),
+           buffered=st.lists(st.booleans(), min_size=50, max_size=50),
+           seed=st.integers(0, 2 ** 32))
+    def test_equals_the_python_loop(self, r_count, k, w, fusion, adoption,
+                                    buffered, seed):
+        p = params(agents=k, fusion_enabled=fusion, fusion_adoption=adoption)
+        rngs, ref_rngs = ([fresh_rng(seed + r) for r in range(r_count)]
+                          for _ in range(2))
+        for entry, g, ref in zip(buffered, rngs, ref_rngs):
+            if entry:  # the stream enters the chunk with a half-word
+                g.integers(5)
+                ref.integers(5)
+        assert draws_equal(engine._DRAWS, rngs, ref_rngs, p, w)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc")
+    def test_bounded_equals_integers(self, tmp_path):
+        # the C bounded draw on its own, at bounds where rejections are
+        # common: the value and the stream's state of Generator.integers
+        engine._load_draws(str(tmp_path))
+        library, = tmp_path.iterdir()
+        bounded = ctypes.CDLL(str(library)).draw_bounded
+        bounded.argtypes = (ctypes.c_void_p, ctypes.c_uint64)
+        bounded.restype = ctypes.c_ssize_t
+        rejections = 0
+        for bound in TestBounded.BOUNDS:
+            for seed in range(5):
+                ref, rng = fresh_rng(seed), fresh_rng(seed)
+                bits = engine._capsule_pointer(rng.bit_generator.capsule,
+                                               b"BitGenerator")
+                for _ in range(50):
+                    assert bounded(bits, bound) == ref.integers(bound)
+                    assert stream_state(rng) == stream_state(ref)
+                halves = (2 * words_read(rng.bit_generator)
+                          - rng.bit_generator.state["has_uint32"])
+                rejections += halves - (50 if bound > 1 else 0)
+        assert rejections > 200
+
+    @needs_compiled
+    @pytest.mark.parametrize("agents, rho", ((10, 0.05), (100, 1.0)),
+                             ids=("levels", "steps"))
+    def test_pointers_once_per_batch(self, agents, rho, monkeypatch):
+        built, given = [], []
+        bitgens, draw_chunk = engine._bitgens, engine._draw_chunk
+
+        def counted(rngs):
+            built.append(len(rngs))
+            return bitgens(rngs)
+
+        def seen(rngs, p, w, pointers=None):
+            given.append(pointers)
+            return draw_chunk(rngs, p, w, pointers)
+
+        monkeypatch.setattr(engine, "_bitgens", counted)
+        monkeypatch.setattr(engine, "_draw_chunk", seen)
+        monkeypatch.setattr(engine, "_WINDOW_EVENTS", 500)
+        runs = [params(agents=agents, rho=rho, steps=40, seed=s)
+                for s in range(3)]
+        assert _sparse(runs) == (rho < 1)
+        run_batch(runs)
+        assert built == [3]
+        assert len(given) > 1 and all(g is given[0] for g in given)
+
+
+class TestLoadDraws:
+    """_load_draws builds the library into its cache directory once, and
+    later loads reuse it; without cc or a writable cache it spawns and
+    warns nothing and returns None, and builds at once leave one whole
+    library."""
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        """The commands subprocess.run is called with."""
+        calls = []
+        run = subprocess.run
+
+        def counted(args, *rest, **kw):
+            calls.append(args)
+            return run(args, *rest, **kw)
+
+        monkeypatch.setattr(subprocess, "run", counted)
+        return calls
+
+    @staticmethod
+    def draws_like_the_loop(draws):
+        p = params(agents=7, fusion_adoption=ADOPT_RANDOM_ONE)
+        return draws is not None and draws_equal(
+            draws, [fresh_rng(s) for s in range(3)],
+            [fresh_rng(s) for s in range(3)], p, 5)
+
+    @staticmethod
+    def load_quietly(cache):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            draws = engine._load_draws(str(cache))
+        assert caught == []
+        return draws
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc")
+    def test_a_cold_build_then_reuse(self, tmp_path, spawned):
+        draws = self.load_quietly(tmp_path)
+        assert len(spawned) == 1
+        library, = os.listdir(tmp_path)
+        assert library.startswith("_draws-") and library.endswith(".so")
+        assert self.draws_like_the_loop(draws)
+        again = self.load_quietly(tmp_path)
+        assert len(spawned) == 1 and os.listdir(tmp_path) == [library]
+        assert self.draws_like_the_loop(again)
+
+    def test_no_compiler(self, tmp_path, spawned, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        assert self.load_quietly(tmp_path / "cache") is None
+        assert spawned == [] and os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("blocked", ("below a file", "read-only"))
+    def test_an_unwritable_cache(self, tmp_path, spawned, blocked):
+        if blocked == "below a file":
+            (tmp_path / "file").write_text("")
+            cache = tmp_path / "file" / "cache"
+        else:
+            if os.geteuid() == 0:
+                pytest.skip("root writes into read-only directories")
+            cache = tmp_path / "cache"
+            cache.mkdir(mode=0o555)
+        assert self.load_quietly(cache) is None
+        assert spawned == []
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc")
+    def test_builds_at_once_leave_one_library(self, tmp_path, monkeypatch):
+        # both builds pass the missing-library check before either spawns
+        barrier = threading.Barrier(2, timeout=60)
+        run = subprocess.run
+
+        def together(*args, **kw):
+            barrier.wait()
+            return run(*args, **kw)
+
+        monkeypatch.setattr(subprocess, "run", together)
+        with ThreadPoolExecutor(2) as pool:
+            loaded = list(pool.map(engine._load_draws, [str(tmp_path)] * 2))
+        assert len(os.listdir(tmp_path)) == 1
+        assert all(self.draws_like_the_loop(d) for d in loaded)
+        monkeypatch.setattr(subprocess, "run", None)  # no third build
+        assert self.draws_like_the_loop(engine._load_draws(str(tmp_path)))
 
 
 def fuse_events_reference(rows_b, possibilistic, qualities, theta,
