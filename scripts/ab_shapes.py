@@ -15,7 +15,10 @@ CHANGE first when it is odd. The shapes (SHAPES):
   at rho = 0.05, 300 steps, both models, final capture (the acceptance
   fixtures' batches);
 - fig8: the fig8 preset's two trajectory batches of 2 runs x 750 steps
-  (perfbench's `trajectory`).
+  (perfbench's `trajectory`);
+- fig7: the fig7 preset's rho sweeps of both models at 3 runs per point
+  and 100 steps, each dealt into two batches as two workers take them,
+  final capture (the dense batches of perfbench's `sweep`).
 
 Per shape it prints the median process time of each side, their ratio, in
 how many pairs the change was faster, the median minor faults of the
@@ -37,13 +40,14 @@ import statistics
 import subprocess
 import sys
 
-# name: (runs, agents, states, rho, steps, final capture); fig8 is built
-# from its preset
+# name: (runs, agents, states, rho, steps, final capture); fig8 and fig7
+# are built from their presets
 SHAPES = {
     "large": (2, 1000, 20, 0.5, 150, False),
     "dense50": (50, 100, 5, 0.5, 300, True),
     "sparse50": (50, 100, 5, 0.05, 300, True),
     "fig8": None,
+    "fig7": None,
 }
 
 
@@ -52,14 +56,25 @@ def _batches(shape: str, steps: int | None, seed: int):
     checkout."""
     from dataclasses import replace
 
-    from possibly import FrankParameter, SimParams, derive_run_seed, preset
+    from possibly import (FrankParameter, SimParams, derive_run_seed,
+                          harness, preset)
 
-    if SHAPES[shape] is None:
+    if shape == "fig8":
         batches = []
         for part in preset(shape, seed=seed).parts:
             base = replace(part.spec.base, steps=steps or 750)
             batches.append(([replace(base, seed=derive_run_seed(seed, 0, r))
                              for r in range(2)], False))
+        return batches
+    if shape == "fig7":
+        batches = []
+        for part in preset(shape, seed=seed).parts:
+            if part.stem.endswith("_rho_sweep"):
+                runs = harness._runs_for(replace(
+                    part.spec, runs=3,
+                    base=replace(part.spec.base, steps=steps or 100)))
+                batches += [([runs[i] for i in batch], True)
+                            for batch in harness._batches(runs, 2)]
         return batches
     runs, agents, states, rho, default_steps, final = SHAPES[shape]
     return [([SimParams(agents=agents, states=states, rho=rho, sigma=0.3,

@@ -43,9 +43,12 @@ no bits.lock.
 
 _load_draws builds the library with cc at import, against
 numpy/random/bitgen.h alone, into the package's __pycache__ under a name
-that hashes numpy's version, the source and the compile command; it
-builds under a temporary name and renames the file into place, so that
-processes that build at once leave one whole file. It builds at import,
+that holds numpy's version and hashes it, the source and the compile
+command; it builds under a temporary name and renames the file into
+place, so that processes that build at once leave one whole file, and
+then removes that numpy version's libraries of other names, which the
+build supersedes (another numpy version's stay, for environments that
+share the checkout). It builds at import,
 not at the first draw, because a child process's peak RSS starts at its
 parent's RSS, and perfbench's peak_rss_mb adds the largest reaped child's
 peak to its own. Measured on a 2-vCPU host in perfbench's order of calls,
@@ -80,23 +83,26 @@ _SPARSE_ROWS evidence events leaves such events out and fuses only the
 pairs and the rest. On the `large` benchmark (2 runs of 1000 agents x 20
 states at rho = 0.5, 150 steps, seed 1) that leaves out 82.4% of the
 possibilistic and 75.9% of the probabilistic evidence events, the share
-of one-hot beliefs among the agents that take evidence. Both stepping
-paths below take their events
-from _draw_events. _sim_step draws one step and makes two passes, its
-pairs and then the agents that take evidence, which so read their beliefs
-after the pair fusion. The kernels are rowwise and every agent's uniform
-is still drawn, so each agent gets the state, bit for bit, that a draw for
-every agent gives it.
+of one-hot beliefs among the agents that take evidence. The kernels are
+rowwise and every agent's uniform is still drawn, so each agent gets the
+state, bit for bit, that a draw for every agent gives it.
 
-Which agents a step touches, the fused pair and the agents whose success
-uniform falls below rho, is fixed by the draws and not by the beliefs. So a
-sparse batch, whose expected evidence rows per step (the sum of rho * k over
-its runs) fall below _SPARSE_ROWS, is stepped by dependency level
-(_run_levels) rather than one _sim_step at a time (_run_steps):
+One driver, _run_levels, steps every batch. It draws the steps by one
+_draw_events call per chunk of as many steps as a level window may hold
+events of, R * k agent steps and R pairs each, or of one step, and then
+fuses the chunk by one of two rules. Which agents a step touches, the
+fused pair and the agents whose success uniform falls below rho, is fixed
+by the draws and not by the beliefs, so both rules give the same bits:
 
-- the steps are drawn by one _draw_events call per chunk of as many steps
-  as a level window may hold events of, R * k agent steps and R pairs
-  each, or of one step;
+- dense, the step loop's: _sim_step fuses each step of the chunk in two
+  passes, its pairs and then the agents that take evidence, which so
+  read their beliefs after the pair fusion;
+- sparse, for a batch whose expected evidence rows per step (the sum of
+  rho * k over its runs) fall below _SPARSE_ROWS, by dependency level, as
+  follows.
+
+The sparse rule:
+
 - each event, a pair fusion or one agent's evidence, gets a level one past
   the highest level of any agent it reads or writes, and gives that level to
   those agents. A step's pair comes before its evidence, so an adopter's
@@ -107,29 +113,36 @@ its runs) fall below _SPARSE_ROWS, is stepped by dependency level
   window;
 - each level of a window is one event pass over all of its events, of many
   steps and runs. Every kernel is rowwise, so each event gets the bits that
-  the step loop gives it;
+  the dense rule gives it;
 - each step's metrics are rebuilt from per-agent columns, advanced by the
   window's writes in step order, one chunk at a time.
+
+A dense batch's passes hold hundreds of rows each, so gathering them in
+level windows gains little and costs memory: on `large`, dependency levels
+raised the peak RSS by 8%, and the step loop's own passes as levels (step
+t's pairs at level 2t + 1, its evidence at 2t + 2) by 4.0-5.6 MB, 5-7%,
+and with windows of 4 steps or 1 its time by 5-12% or 30%.
 
 An agent's metric columns (_metric_columns: its last degree, and in the
 possibilistic model 1 - the largest of its others) and their mean over
 each run's agents (_agent_means) are stated once, for _metrics_from_array
-and the level path alike. run_batch writes step 0's metrics, or with final
-capture the last step's alone; with trajectory capture either path writes
-those of steps 1 to steps.
+and the sparse rule alike. run_batch writes step 0's metrics, or with
+final capture the last step's alone; with trajectory capture the dense
+rule writes those of each step after it, by _metrics_from_array, and the
+sparse rule rebuilds them as above.
 
 At the paper's population (100 agents, 5 states, rho = 0.05) a step of one
 or two runs fuses about a dozen rows in some 140 numpy calls. Fig8's
 possibilistic batch, 2 runs of 750 steps, holds 8,999 events: one level
 window takes them in 107 passes, where level windows of 40 steps would
-take 180 and the step loop takes 1,500. The constants, as measured
+take 180 and the dense rule 1,500. The constants, as measured
 on a 2-vCPU host (time by level over time step by step, at 100 agents and
 5 states, both models and both capture modes, medians of 15-21
 alternations of 200 steps):
 
 - _SPARSE_ROWS = 256 sits at or below the crossover: 2 runs at rho = 1
   (200 rows), where every agent takes evidence every step, take 0.84-1.01
-  of the step loop's time (two series), and 1 run of 250 agents
+  of the time step by step (two series), and 1 run of 250 agents
   0.83-1.00; 50 runs at rho = 0.05 (250 rows) 0.84-0.94; 60 runs (300
   rows) 0.88-0.98; 3 runs at rho = 1 (300 rows) 0.92-1.05; 100 runs
   (500 rows) 0.93-1.02.
@@ -147,7 +160,7 @@ alternations of 200 steps):
   pass of a few hundred evidence events (time with the test over time
   without, medians of 9-15 in-process alternations): fig8's batches,
   whose passes hold at most about 200 evidence events, read 1.04 with
-  guards of 0 and 64, 1.005 at 128 and 1.003 at 256; step loops of 300
+  guards of 0 and 64, 1.005 at 128 and 1.003 at 256; dense batches of 300
   and 500 evidence events per pass read 0.90-1.00 at 128, 0.90-0.99 at
   256 and 0.97-1.01 at 512.
 
@@ -158,6 +171,7 @@ one (R,) count array; run() returns a batch of one's row of each.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import operator
@@ -206,7 +220,7 @@ ADOPT_RANDOM_ONE = "random-one"
 _TWO32 = 1 << 32
 _LOW32 = _TWO32 - 1
 
-# run_batch steps a batch by dependency level when its expected evidence
+# _run_levels fuses a batch by dependency level when its expected evidence
 # rows per step, the sum of rho * k over its runs, fall below this, and
 # _fuse_events leaves one-hot beliefs' own evidence out of passes of at
 # least this many evidence events; and the events at which a level window
@@ -356,10 +370,11 @@ def _load_draws(cache: str):
     """_draws.c's draw_events, loaded by ctypes from its library in the
     directory cache, which is built there first if it is missing; None,
     for the Python loop, if it cannot be built or loaded. The library's
-    name holds a hash of numpy's version, the source and the compile
-    command. It is built under a temporary name and renamed into place,
-    so that builds at once leave one whole file; nothing is spawned when
-    cc is missing or cache cannot be written."""
+    name holds numpy's version and a hash of it, the source and the
+    compile command. It is built under a temporary name and renamed into
+    place, so that builds at once leave one whole file, and then the
+    libraries of that numpy version's other names are removed; nothing is
+    spawned when cc is missing or cache cannot be written."""
     source = os.path.join(os.path.dirname(__file__), "_draws.c")
     library = os.path.join(os.path.dirname(np.__file__), "random", "lib",
                            "libnpyrandom.a")
@@ -373,32 +388,33 @@ def _load_draws(cache: str):
                              .encode())
     except OSError:
         return None
-    path = os.path.join(cache, f"_draws-{key:08x}.so")
+    version = f"_draws-{np.__version__}-"
+    path = os.path.join(cache, f"{version}{key:08x}.so")
     if not os.path.exists(path):
         if shutil.which(command[0]) is None:
             return None
+        import subprocess
+
+        tmp = None
         try:
             os.makedirs(cache, exist_ok=True)
             fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
             os.fchmod(fd, 0o644)  # the linker adds x where r is set
             os.close(fd)
-        except OSError:
-            return None
-        import subprocess
-
-        try:
-            done = subprocess.run(command + ["-o", tmp],
-                                  stdin=subprocess.DEVNULL,
-                                  stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL)
-            if done.returncode:
-                return None
+            subprocess.run(command + ["-o", tmp], check=True,
+                           stdin=subprocess.DEVNULL,
+                           stdout=subprocess.DEVNULL,
+                           stderr=subprocess.DEVNULL)
             os.replace(tmp, path)
-        except OSError:
+        except (OSError, subprocess.CalledProcessError):
             return None
         finally:
-            if os.path.exists(tmp):
+            if tmp and os.path.exists(tmp):
                 os.remove(tmp)
+        for name in os.listdir(cache):  # superseded by this build
+            if name.startswith(version) and os.path.join(cache, name) != path:
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.join(cache, name))
     try:
         draws = ctypes.CDLL(path).draw_events
     except OSError:
@@ -556,30 +572,24 @@ def _fuse_events(rows_b: np.ndarray, possibilistic: bool,
     return gathered
 
 
-def _sim_step(b: np.ndarray, params: SimParams, qualities: np.ndarray,
-              rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
-              rngs: Sequence[np.random.Generator],
-              bitgens=None) -> np.ndarray:
-    """Advance R same-shape populations, a (R, k, n) array, one step in
-    place: one event pass for the pairs, then one for the agents that take
-    evidence. params gives the shared shape; rho, sigma, theta (an (R, 1)
-    column, or a scalar when all runs share it) and rngs hold one entry
-    per run, and bitgens, if given, is _bitgens(rngs). Returns each run's
-    number of degenerate product fusions."""
-    r_count, k, n = b.shape
+def _sim_step(rows_b: np.ndarray, pairs: np.ndarray, rows: np.ndarray,
+              u_state: np.ndarray, noise: np.ndarray, params: SimParams,
+              qualities: np.ndarray, theta: _FrankRows,
+              degenerate: np.ndarray) -> None:
+    """Fuse one drawn step into rows_b, the (R * k, n) beliefs, in place:
+    one event pass for its pairs, an (R, 4) array of agent rows as
+    _draw_events gives a step's (or (0, 4) without fusion), then one for
+    its evidence events, agent rows with their state uniforms and noise
+    terms, which so read their beliefs after the pair fusion. params gives
+    the shared shape, theta is an (R, 1) column or a scalar, and each
+    run's degenerate product fusions are added to degenerate."""
     possibilistic = params.model == POSSIBILISTIC
-    degenerate = np.zeros(r_count, dtype=np.int64)
-    # the R populations as R*k agent rows (a view, so writes land in b)
-    rows_b = b.reshape(r_count * k, n)
-    pairs, rows, u_state, noise = _draw_events(rngs, params, rho, sigma, 1,
-                                               bitgens)
-    if params.fusion_enabled:
+    if len(pairs):
         _fuse_events(rows_b, possibilistic, qualities, theta, degenerate,
-                     np.arange(r_count), pairs[0].T, r_count)
+                     np.arange(len(pairs)), pairs.T, len(pairs))
     if rows.size:
         _fuse_events(rows_b, possibilistic, qualities, theta, degenerate,
-                     rows // k, (rows,) * 4, 0, u_state, noise)
-    return degenerate
+                     rows // params.agents, (rows,) * 4, 0, u_state, noise)
 
 
 def _metric_columns(rows: np.ndarray, model: str) -> np.ndarray:
@@ -616,36 +626,24 @@ def _metrics_from_array(b: np.ndarray, model: str) -> np.ndarray:
 
 
 def _sparse(runs: Sequence[SimParams]) -> bool:
-    """Whether run_batch steps the batch runs by dependency level: whether
-    their expected evidence rows per step, the sum of rho * k, fall below
-    _SPARSE_ROWS."""
+    """Whether _run_levels fuses the batch runs by dependency level rather
+    than step by step: whether their expected evidence rows per step, the
+    sum of rho * k, fall below _SPARSE_ROWS."""
     return sum(p.rho for p in runs) * runs[0].agents < _SPARSE_ROWS
-
-
-def _run_steps(b: np.ndarray, params: SimParams, qualities: np.ndarray,
-               rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
-               rngs: Sequence[np.random.Generator],
-               metrics: np.ndarray, bitgens=None) -> np.ndarray:
-    """Run the batch b to params.steps one _sim_step at a time, writing the
-    metrics of steps 1 to params.steps into metrics, an (R, steps, m)
-    view, unless it holds no steps. bitgens, if given, is _bitgens(rngs).
-    Returns each run's degenerate fusion count."""
-    trajectory = metrics.shape[1] > 0
-    degenerate = np.zeros(b.shape[0], dtype=np.int64)
-    for t in range(params.steps):
-        degenerate += _sim_step(b, params, qualities, rho, sigma, theta, rngs,
-                                bitgens)
-        if trajectory:
-            metrics[:, t] = _metrics_from_array(b, params.model)
-    return degenerate
 
 
 def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
                 rho: np.ndarray, sigma: np.ndarray, theta: _FrankRows,
                 rngs: Sequence[np.random.Generator],
-                metrics: np.ndarray, bitgens=None) -> np.ndarray:
-    """_run_steps by dependency level (see the module docstring), to the
-    same beliefs, metrics, counts and generator states."""
+                metrics: np.ndarray, sparse: bool,
+                bitgens=None) -> np.ndarray:
+    """Run the batch b to params.steps, writing the metrics of steps 1 to
+    params.steps into metrics, an (R, steps, m) view, unless it holds no
+    steps: chunk by chunk of draws, each chunk's steps fused one at a time
+    (_sim_step) or, if sparse, by dependency level in level windows (see
+    the module docstring); both rules give the same bits. bitgens, if
+    given, is _bitgens(rngs). Returns each run's degenerate fusion
+    count."""
     r_count, k, n = b.shape
     rk = r_count * k
     possibilistic = params.model == POSSIBILISTIC
@@ -722,13 +720,21 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
         # evidence event f is agent row f % rk at step f // rk
         pairs, f, e_u, e_noise = _draw_events(rngs, params, rho, sigma, w,
                                               bitgens)
+        e_row = f % rk
+        e_ends = np.searchsorted(f, np.arange(w + 1) * rk)
+        if not sparse:
+            for t in range(w):
+                step = slice(e_ends[t], e_ends[t + 1])
+                _sim_step(rows_b, pairs[t], e_row[step], e_u[step],
+                          e_noise[step], params, qualities, theta, degenerate)
+                if trajectory:
+                    metrics[:, t0 + t] = _metrics_from_array(b, params.model)
+            continue
         if chunks and p_held + e_held + w * r_pairs + f.size \
                 > _WINDOW_EVENTS:
             fuse_window()
             chunks, p_held, e_held = [], 0, 0
             agent_level[:] = 0
-        e_row = f % rk
-        e_ends = np.searchsorted(f, np.arange(w + 1) * rk)
 
         # each event's level, one past the highest level of the agents it
         # reads or writes, which it then gives them; the pairs of a step
@@ -799,10 +805,11 @@ def run_batch(runs: Sequence[SimParams],
     Returns the metrics, an (R, steps + 1, m) array in METRICS[model] column
     order, and each run's degenerate fusion count, an (R,) array. Row i
     equals run(runs[i]) exactly. With final_only the metrics are (R, 1, m),
-    the last step's alone, and no earlier step's are computed. A batch
-    whose expected evidence rows per step, the sum of rho * k over its
-    runs, fall below _SPARSE_ROWS is stepped by dependency level, a denser
-    one step by step (see the module docstring); both give the same bits.
+    the last step's alone, and no earlier step's are computed. One driver,
+    _run_levels, steps the batch chunk by chunk of draws; a batch whose
+    expected evidence rows per step, the sum of rho * k over its runs, fall
+    below _SPARSE_ROWS is fused by dependency level, a denser one step by
+    step (see the module docstring); both rules give the same bits.
     """
     # Freeing one untouched block of about 4 MiB lifts glibc's dynamic mmap
     # and trim thresholds above a step's temporaries (mallopt(3)), so the
@@ -833,10 +840,9 @@ def run_batch(runs: Sequence[SimParams],
     qualities = _default_qualities(shape.states)
     if not final_only:
         metrics[:, 0] = _metrics_from_array(b, shape.model)
-    advance = _run_levels if _sparse(runs) else _run_steps
     # the pointers once per batch; rngs keeps their generators alive
-    degenerate = advance(b, shape, qualities, rho, sigma, theta, rngs,
-                         metrics[:, 1:], _bitgens(rngs))
+    degenerate = _run_levels(b, shape, qualities, rho, sigma, theta, rngs,
+                             metrics[:, 1:], _sparse(runs), _bitgens(rngs))
     if final_only:
         metrics[:, 0] = _metrics_from_array(b, shape.model)
     return metrics, degenerate

@@ -1,6 +1,7 @@
 """scripts/ab_shapes.py: a checkout run against itself gives one table row
 per shape, with equal outputs and each side's draw path; outputs that
-differ, or paths of different lengths, are reported."""
+differ, or paths of different lengths, are reported; the fig7 shape holds
+the dense batches of perfbench's sweep."""
 
 import importlib.util
 import pathlib
@@ -59,3 +60,14 @@ def test_outputs_that_differ_fail():
 def test_paths_of_different_lengths_warn():
     assert ab_shapes.path_warning("/a/x", "/b/y") is None
     assert "peak RSS" in ab_shapes.path_warning("/a/x", "/b/yy")
+
+
+def test_fig7_deals_each_rho_sweep_into_two_dense_batches():
+    # sweep's fig7 rho sweeps at 3 runs per point: 33 runs per model, in
+    # batches of 17 and 16, each of them stepped by the dense rule
+    batches = ab_shapes._batches("fig7", None, 1)
+    assert [(len(runs), runs[0].model, runs[0].steps, final)
+            for runs, final in batches] == [
+        (17, "possibilistic", 100, True), (16, "possibilistic", 100, True),
+        (17, "probabilistic", 100, True), (16, "probabilistic", 100, True)]
+    assert not any(engine._sparse(runs) for runs, _ in batches)

@@ -52,7 +52,6 @@ from possibly.engine import (
     _initial_beliefs,
     _metrics_from_array,
     _run_levels,
-    _run_steps,
     _sim_step,
     _sparse,
     lockstep_key,
@@ -104,15 +103,22 @@ def fresh_betting(b, model):
 
 
 def step_batch(b, p, rngs, rho, sigma, thetas, bet=None):
-    """One lockstep step of the populations b (R, k, n), updated in place;
-    returns the degenerate fusion counts. Given a kept betting array bet,
-    the step is sim_step_reference's."""
-    args = (p, np.asarray(EnvironmentSpec.default(p.states).qualities),
-            np.asarray(rho, dtype=float), np.asarray(sigma, dtype=float),
-            _FrankRows.of(thetas), rngs)
-    if bet is None:
-        return _sim_step(b, *args)
-    return sim_step_reference(b, bet, *args)
+    """One lockstep step of the populations b (R, k, n), updated in place:
+    drawn by _draw_events(..., 1) and fused by _sim_step; returns the
+    degenerate fusion counts. Given a kept betting array bet, the step is
+    sim_step_reference's."""
+    qualities = np.asarray(EnvironmentSpec.default(p.states).qualities)
+    rho = np.asarray(rho, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    theta = _FrankRows.of(thetas)
+    if bet is not None:
+        return sim_step_reference(b, bet, p, qualities, rho, sigma, theta,
+                                  rngs)
+    pairs, rows, u_state, noise = engine._draw_events(rngs, p, rho, sigma, 1)
+    degenerate = np.zeros(len(rngs), dtype=np.int64)
+    _sim_step(b.reshape(-1, p.states), pairs[0], rows, u_state, noise, p,
+              qualities, theta, degenerate)
+    return degenerate
 
 
 def step_one(b, p, rng):
@@ -570,13 +576,15 @@ class TestLockstepKey:
 
 
 def advance_both(runs, final_only=False, buffered=False):
-    """The batch runs advanced by _run_steps and by _run_levels, each from
-    streams seeded as run_batch seeds them, which with buffered enter with
-    a buffered half-word: per path the final beliefs' bytes, the metrics'
-    bytes, the degenerate counts and every generator's final state."""
+    """The batch runs advanced by _run_levels with the dense rule, each
+    drawn step fused at once (the step loop's passes), and with the sparse
+    rule, by dependency level, each from streams seeded as run_batch seeds
+    them, which with buffered enter with a buffered half-word: per rule the
+    final beliefs' bytes, the metrics' bytes, the degenerate counts and
+    every generator's final state."""
     shape = runs[0]
     results = []
-    for advance in (_run_steps, _run_levels):
+    for sparse in (False, True):
         rngs = [fresh_rng(p.seed) for p in runs]
         if buffered:
             for g in rngs:
@@ -588,10 +596,11 @@ def advance_both(runs, final_only=False, buffered=False):
         # run_batch writes them
         if not final_only:
             metrics[:, 0] = _metrics_from_array(b, shape.model)
-        degenerate = advance(
+        degenerate = _run_levels(
             b, shape, np.asarray(EnvironmentSpec.default(shape.states).qualities),
             np.array([p.rho for p in runs]), np.array([p.sigma for p in runs]),
-            _FrankRows.of([p.theta for p in runs]), rngs, metrics[:, 1:])
+            _FrankRows.of([p.theta for p in runs]), rngs, metrics[:, 1:],
+            sparse)
         if final_only:
             metrics[:, 0] = _metrics_from_array(b, shape.model)
         results.append((b.tobytes(), metrics.tobytes(), degenerate.tolist(),
@@ -615,11 +624,13 @@ def windows(cap):
 
 
 class TestLevels:
-    """_run_levels, which draws chunks of steps ahead and fuses a level
-    window of them one dependency level at a time, gives what the _sim_step
-    loop gives, bit for bit: beliefs, metrics in both capture modes,
-    degenerate counts and every generator's final state. Small batches take
-    it in run_batch, so TestLockstep compares it only with itself."""
+    """_run_levels, which draws chunks of steps ahead, fuses a sparse
+    batch's level window of them one dependency level at a time and a dense
+    batch's steps one at a time, gives the same bits under both rules:
+    beliefs, metrics in both capture modes, degenerate counts and every
+    generator's final state. The dense rule gives what a loop of one-step
+    draws gives. run_batch picks one rule per batch, so TestLockstep
+    compares each rule only with itself."""
 
     @settings(max_examples=100)
     @given(k=st.one_of(st.integers(2, 8), st.just(100)),
@@ -681,13 +692,13 @@ class TestLevels:
             return fuse_events(*args)
 
         monkeypatch.setattr(engine, "_fuse_events", counted)
-        per_path = []  # the step loop, then the level path
+        per_rule = []  # the dense rule, then the sparse rule
         for sparse in (False, True):
             counts = np.zeros((2, len(runs)), dtype=np.int64)
             monkeypatch.setattr(engine, "_sparse", lambda _, s=sparse: s)
             metrics = run_batch(runs)[0]
-            per_path.append((counts.tolist(), metrics.tobytes()))
-        assert per_path[0] == per_path[1]
+            per_rule.append((counts.tolist(), metrics.tobytes()))
+        assert per_rule[0] == per_rule[1]
         pairs, evidence = counts
         assert pairs.tolist() == [60] * 3
         assert 0 < evidence[0] < evidence[1] < evidence[2] == 600
@@ -728,17 +739,23 @@ class TestLevels:
         assert (len(events), sum(events)) == (67, 89817)
 
     @pytest.mark.parametrize("window", WINDOWS, ids=WINDOW_IDS)
-    @pytest.mark.parametrize("r_count, k, fusion, steps", (
-        (2, 100, True, 30), (50, 100, True, 8), (3, 4, True, 100),
-        (1, 7, False, 100)))
+    @pytest.mark.parametrize("r_count, k, fusion, steps, rho", (
+        pytest.param(2, 100, True, 30, 0.05, id="2-100-True-30"),
+        pytest.param(50, 100, True, 8, 0.05, id="50-100-True-8"),
+        pytest.param(3, 4, True, 100, 0.05, id="3-4-True-100"),
+        pytest.param(1, 7, False, 100, 0.05, id="1-7-False-100"),
+        pytest.param(50, 100, True, 8, 0.5, id="50-100-True-8-dense"),
+        pytest.param(2, 1000, True, 20, 0.5, id="2-1000-True-20-dense")))
     def test_a_chunk_draws_at_most_a_window(self, r_count, k, fusion, steps,
-                                            window, monkeypatch):
-        # each _draw_events call of a level batch draws no more agent steps
-        # and pairs than a level window may hold events, unless it draws one
-        # step, and every call but the last draws as many steps as fit; on
-        # the compiled draw and on the Python loop alike
-        runs = [params(agents=k, rho=0.05, sigma=0.3, steps=steps, seed=s,
+                                            rho, window, monkeypatch):
+        # each _draw_events call draws no more agent steps and pairs than a
+        # level window may hold events, unless it draws one step, and every
+        # call but the last draws as many steps as fit; in sparse batches
+        # and dense ones (the last two shapes), on the compiled draw and on
+        # the Python loop alike
+        runs = [params(agents=k, rho=rho, sigma=0.3, steps=steps, seed=s,
                        fusion_enabled=fusion) for s in range(r_count)]
+        assert _sparse(runs) == (rho == 0.05)
         per_step = r_count * k + (r_count if fusion else 0)
         draw_events = engine._draw_events
         outputs = []
@@ -758,6 +775,48 @@ class TestLevels:
             assert all((w + 1) * per_step > window for w in draws[:-1])
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("window", WINDOWS, ids=WINDOW_IDS)
+    @pytest.mark.parametrize("final_only", (False, True))
+    def test_dense_rule_equals_one_step_draws(self, window, final_only):
+        # the dense rule, on chunks of draws, against the step loop that
+        # draws each step alone: 3 runs of 100 agents at rho = 1 (300 rows)
+        runs = [params(agents=100, rho=1.0, sigma=0.3, steps=12, seed=s,
+                       fusion_adoption=ADOPT_RANDOM_ONE) for s in range(3)]
+        assert not _sparse(runs)
+        with windows(window):
+            metrics, degenerate = run_batch(runs, final_only)
+        p = runs[0]
+        rngs = [fresh_rng(q.seed) for q in runs]
+        b = _initial_beliefs(p, len(runs))
+        loop = [_metrics_from_array(b, p.model)]
+        ref_degenerate = np.zeros(len(runs), dtype=np.int64)
+        for _ in range(p.steps):
+            ref_degenerate += step_batch(b, p, rngs, [1.0] * 3, [0.3] * 3,
+                                         [p.theta] * 3)
+            loop.append(_metrics_from_array(b, p.model))
+        loop = np.stack(loop, axis=1)
+        assert metrics.tobytes() == (loop[:, -1:] if final_only
+                                     else loop).tobytes()
+        assert degenerate.tolist() == ref_degenerate.tolist()
+
+    @pytest.mark.parametrize("window", WINDOWS, ids=WINDOW_IDS)
+    def test_a_dense_batch_fuses_each_step_once(self, window, monkeypatch):
+        # one _sim_step call per step, each over all R * k agent rows, as
+        # perfbench's tracer counts them (engine.sim_step.agent_steps)
+        calls = []
+        sim_step = engine._sim_step
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return sim_step(*args)
+
+        monkeypatch.setattr(engine, "_sim_step", counted)
+        runs = [params(agents=100, rho=1.0, steps=40, seed=s)
+                for s in range(3)]
+        with windows(window):
+            run_batch(runs)
+        assert calls == [300] * 40
+
     def test_degenerate_resets_match(self):
         runs = [SimParams(agents=6, states=3, rho=rho, sigma=2.0, theta=THETA20,
                           steps=300, model=PROBABILISTIC, seed=5)
@@ -768,8 +827,9 @@ class TestLevels:
 
 
 class TestSelection:
-    """run_batch steps a batch by dependency level when the sum of rho * k
-    over its runs is below _SPARSE_ROWS, and one step at a time otherwise."""
+    """run_batch fuses a batch by dependency level (the sparse rule) when
+    the sum of rho * k over its runs is below _SPARSE_ROWS, and one step
+    at a time (the dense rule) otherwise."""
 
     def test_rule(self):
         def runs(count, rho):
@@ -781,16 +841,21 @@ class TestSelection:
         assert not _sparse([params(agents=1000, rho=0.5)])
 
     def test_benchmark_shapes(self, monkeypatch):
-        called = []
-        for name in ("_run_steps", "_run_levels"):
-            def traced(*args, _name=name, _fn=getattr(engine, name)):
-                called.append(_name)
-                return _fn(*args)
-            monkeypatch.setattr(engine, name, traced)
+        # the dense rule fuses each step by one _sim_step call, the sparse
+        # rule none
+        calls = []
+        sim_step = engine._sim_step
+
+        def counted(*args):
+            calls[-1] += 1
+            return sim_step(*args)
+
+        monkeypatch.setattr(engine, "_sim_step", counted)
         # the trajectory workload: each fig8 part's 2 runs in one batch
         for part in preset("fig8").parts:
             spec = replace(part.spec, runs=2,
-                           base=replace(part.spec.base, steps=1))
+                           base=replace(part.spec.base, steps=3))
+            calls.append(0)
             run_batch(harness._runs_for(spec))
         # the large workload: `possibly run`, 2 runs of 1000 agents x 20
         # states at rho = 0.5
@@ -798,9 +863,10 @@ class TestSelection:
             spec = cli.parse_args([
                 "run", "--model", model, "--agents", "1000", "--states", "20",
                 "--evidence-rate", "0.5", "--noise", "0.3", "--theta", "20",
-                "--steps", "1", "--runs", "2", "--seed", "1"]).spec
+                "--steps", "3", "--runs", "2", "--seed", "1"]).spec
+            calls.append(0)
             run_batch(harness._runs_for(spec))
-        assert called == ["_run_levels"] * 2 + ["_run_steps"] * 2
+        assert calls == [0, 0, 3, 3]
 
 
 def stream_state(rng):
@@ -811,8 +877,9 @@ def stream_state(rng):
 
 
 class TestBettingRows:
-    """_sim_step, which transforms and draws only for the agents that take
-    evidence and draws the pair through _bounded, steps populations to the
+    """A step drawn by _draw_events and fused by _sim_step, which
+    transforms and draws only for the agents that take evidence, the pair
+    drawn through _bounded or the compiled draw, steps populations to the
     bits of the step that keeps every agent's betting row, draws for all of
     them and calls integers itself, and leaves every generator in the same
     state."""
@@ -890,8 +957,8 @@ class TestBounded:
 
 
 class TestDrawEvents:
-    """_draw_events over w steps, one chunk of the level path, returns the
-    events of w calls of one step, as _sim_step makes them: the same pairs,
+    """_draw_events over w steps, one chunk of _run_levels, returns the
+    events of w calls of one step, as step_batch draws them: the same pairs,
     evidence events (each step's shifted by the agent steps before it),
     state uniforms and noise terms, and every generator in the same state;
     and they are the events that the generator's own calls on the schedule
@@ -1060,9 +1127,9 @@ class TestCompiledDraws:
 
 class TestLoadDraws:
     """_load_draws builds the library into its cache directory once, and
-    later loads reuse it; without cc or a writable cache it spawns and
-    warns nothing and returns None, and builds at once leave one whole
-    library."""
+    later loads reuse it; a build removes the libraries it supersedes;
+    without cc or a writable cache it spawns and warns nothing and returns
+    None, and builds at once leave one whole library."""
 
     @pytest.fixture
     def spawned(self, monkeypatch):
@@ -1102,6 +1169,22 @@ class TestLoadDraws:
         again = self.load_quietly(tmp_path)
         assert len(spawned) == 1 and os.listdir(tmp_path) == [library]
         assert self.draws_like_the_loop(again)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc")
+    def test_a_build_removes_its_numpy_versions_others(self, tmp_path,
+                                                       spawned):
+        # a library of this numpy version under another hash is superseded
+        # and goes; another numpy version's library stays, so environments
+        # that share a checkout do not rebuild in turn
+        stale = tmp_path / f"_draws-{np.__version__}-00000000.so"
+        other = tmp_path / "_draws-0.0.0-00000000.so"
+        for path in (stale, other):
+            path.write_bytes(b"")
+        draws = self.load_quietly(tmp_path)
+        assert len(spawned) == 1 and self.draws_like_the_loop(draws)
+        library, = set(os.listdir(tmp_path)) - {other.name}
+        assert library.startswith(f"_draws-{np.__version__}-")
+        assert library != stale.name and other.exists()
 
     def test_no_compiler(self, tmp_path, spawned, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path / "bin"))

@@ -131,7 +131,8 @@ class TestEvidence:
 
 
 def evidence_rows_reference(possibilistic, n, si, qhat):
-    """The evidence rows as _sim_step wrote them inline."""
+    """The evidence rows as the step wrote them inline, before
+    _evidence_rows."""
     if possibilistic:
         ev = (1.0 - qhat)[:, None].repeat(n, axis=1)
         ev[np.arange(si.size), si] = 1.0

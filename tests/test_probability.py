@@ -157,7 +157,8 @@ class TestSampleState:
 # ---------------------------------------------------------------------------
 
 def pair_fusion_reference(a, b):
-    """The pair fusion as _sim_step wrote it inline."""
+    """The product pair fusion as the step wrote it inline, before
+    _product_rows."""
     fused = a * b
     s = np.add.reduce(fused, axis=1)
     bad = s < DEGENERATE_MASS
@@ -167,8 +168,8 @@ def pair_fusion_reference(a, b):
 
 
 def evidence_fusion_reference(x, ev):
-    """The evidence fusion as _sim_step wrote it inline, touching the sums
-    only when some row is degenerate."""
+    """The product evidence fusion as the step wrote it inline, before
+    _product_rows, touching the sums only when some row is degenerate."""
     x = x * ev
     s = np.add.reduce(x, axis=1)
     bad = s < DEGENERATE_MASS
@@ -224,8 +225,9 @@ def warned(fn, *args):
 
 
 class TestProductRows:
-    """_product_rows gives the two inline fusions of _sim_step bit for bit,
-    degenerate mask included, and writes into its first argument."""
+    """_product_rows gives the two fusions the step once wrote inline bit
+    for bit, degenerate mask included, and writes into its first
+    argument."""
 
     @given(st.integers(1, 30), st.integers(2, 20), st.data())
     def test_equals_the_inline_fusions(self, m, n, data):
