@@ -14,6 +14,8 @@ CHANGE first when it is odd. The shapes (SHAPES):
 - dense50 and sparse50: 50 runs of 100 agents x 5 states at rho = 0.5 and
   at rho = 0.05, 300 steps, both models, final capture (the acceptance
   fixtures' batches);
+- sparse50t: sparse50's batches with trajectory capture (the level-rule
+  batches of the fig4a, fig4b and fig8 acceptance fixtures);
 - fig8: the fig8 preset's two trajectory batches of 2 runs x 750 steps
   (perfbench's `trajectory`);
 - fig7: the fig7 preset's rho sweeps of both models at 3 runs per point
@@ -46,6 +48,7 @@ SHAPES = {
     "large": (2, 1000, 20, 0.5, 150, False),
     "dense50": (50, 100, 5, 0.5, 300, True),
     "sparse50": (50, 100, 5, 0.05, 300, True),
+    "sparse50t": (50, 100, 5, 0.05, 300, False),
     "fig8": None,
     "fig7": None,
 }

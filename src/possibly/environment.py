@@ -174,11 +174,14 @@ def reversal_probability(env: EnvironmentSpec, noise: NoiseSpec, i: int, j: int,
     if samples < 1:
         raise ValueError("need at least 1 sample")
     sigma = noise.sigma
+    # a sigma near the float maximum may give an observation of +-inf,
+    # which the clamp takes to 0 or 1 as it takes any beyond them
     qi = np.empty(samples)
     for start in range(0, samples, _BLOCK):
         block = qi[start:start + _BLOCK]
         rng.standard_normal(out=block)
-        block *= sigma
+        with np.errstate(over="ignore"):
+            block *= sigma
         block += env.qualities[i - 1]
         np.maximum(block, 0.0, out=block)
     qj = np.empty(min(samples, _BLOCK))
@@ -188,7 +191,8 @@ def reversal_probability(env: EnvironmentSpec, noise: NoiseSpec, i: int, j: int,
         size = min(_BLOCK, samples - start)
         block = qj[:size]
         rng.standard_normal(out=block)
-        block *= sigma
+        with np.errstate(over="ignore"):
+            block *= sigma
         block += env.qualities[j - 1]
         np.minimum(block, 1.0, out=block)
         count += np.count_nonzero(

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .probability import ProbabilityDistribution
+from .probability import ProbabilityDistribution, _Distribution
 
 __all__ = [
     "FrankParameter",
@@ -109,15 +109,13 @@ class FrankParameter:
 
 
 @dataclass(frozen=True)
-class PossibilityDistribution:
+class PossibilityDistribution(_Distribution):
     """Degrees in [0, 1] over states 1..n with max exactly 1.
 
     A maximum within 1e-12 of 1 is snapped to exactly 1; anything farther off
     is rejected rather than silently renormalised, so that drift from a buggy
     caller cannot hide.
     """
-
-    values: tuple[float, ...]
 
     def __init__(self, values: Sequence[float]) -> None:
         vals = tuple(float(v) for v in values)
@@ -132,19 +130,6 @@ class PossibilityDistribution:
                 raise ValueError(f"max degree {top!r} is not 1")
             vals = tuple(1.0 if v == top else v for v in vals)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
 
 def vacuous(n: int) -> PossibilityDistribution:

@@ -33,27 +33,12 @@ class DegenerateFusionWarning(RuntimeWarning):
 
 
 @dataclass(frozen=True)
-class ProbabilityDistribution:
-    """Probabilities over states 1..n, renormalised to sum exactly 1.
-
-    A sum within 1e-9 of 1 is renormalised away (float drift accumulates over
-    thousands of fusions); anything farther off indicates a bug and is
-    rejected.
-    """
+class _Distribution:
+    """A belief's values over states 1..n, and their reads: n, len(),
+    indexing and as_array(). Each subclass checks its values as it is
+    built."""
 
     values: tuple[float, ...]
-
-    def __init__(self, values: Sequence[float]) -> None:
-        vals = np.asarray([float(v) for v in values], dtype=float)
-        if vals.size < 1:
-            raise ValueError("need at least 1 state")
-        if not ((vals >= 0.0) & (vals <= 1.0 + 1e-9)).all():  # NaN fails
-            raise ValueError("probabilities must lie in [0, 1]")
-        total = float(vals.sum())
-        if not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        vals = np.minimum(vals / total, 1.0)
-        object.__setattr__(self, "values", tuple(vals.tolist()))
 
     @property
     def n(self) -> int:
@@ -67,6 +52,28 @@ class ProbabilityDistribution:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
+
+
+@dataclass(frozen=True)
+class ProbabilityDistribution(_Distribution):
+    """Probabilities over states 1..n, renormalised to sum exactly 1.
+
+    A sum within 1e-9 of 1 is renormalised away (float drift accumulates over
+    thousands of fusions); anything farther off indicates a bug and is
+    rejected.
+    """
+
+    def __init__(self, values: Sequence[float]) -> None:
+        vals = np.asarray([float(v) for v in values], dtype=float)
+        if vals.size < 1:
+            raise ValueError("need at least 1 state")
+        if not ((vals >= 0.0) & (vals <= 1.0 + 1e-9)).all():  # NaN fails
+            raise ValueError("probabilities must lie in [0, 1]")
+        total = float(vals.sum())
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        vals = np.minimum(vals / total, 1.0)
+        object.__setattr__(self, "values", tuple(vals.tolist()))
 
 
 def uniform(n: int) -> ProbabilityDistribution:

@@ -1,7 +1,8 @@
 """scripts/ab_shapes.py: a checkout run against itself gives one table row
 per shape, with equal outputs and each side's draw path; outputs that
 differ, or paths of different lengths, are reported; the fig7 shape holds
-the dense batches of perfbench's sweep."""
+the dense batches of perfbench's sweep, and sparse50t the acceptance
+fixtures' level-rule batches with trajectory capture."""
 
 import importlib.util
 import pathlib
@@ -71,3 +72,16 @@ def test_fig7_deals_each_rho_sweep_into_two_dense_batches():
         (17, "possibilistic", 100, True), (16, "possibilistic", 100, True),
         (17, "probabilistic", 100, True), (16, "probabilistic", 100, True)]
     assert not any(engine._sparse(runs) for runs, _ in batches)
+
+
+def test_sparse50t_is_sparse50_with_trajectory_capture():
+    # 50 runs of the paper's population at rho = 0.05 per model, each
+    # batch stepped by the sparse rule
+    trajectory = ab_shapes._batches("sparse50t", None, 1)
+    final = ab_shapes._batches("sparse50", None, 1)
+    assert [runs for runs, _ in trajectory] == [runs for runs, _ in final]
+    assert [(len(runs), runs[0].model, runs[0].steps, runs[0].rho, capture)
+            for runs, capture in trajectory] == [
+        (50, "possibilistic", 300, 0.05, False),
+        (50, "probabilistic", 300, 0.05, False)]
+    assert all(engine._sparse(runs) for runs, _ in trajectory)

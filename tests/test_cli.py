@@ -338,6 +338,21 @@ class TestMainEndToEnd:
         assert lines[0] == "run,step,mean_poss_best,mean_nec_best"
         assert len(lines) == 1 + 2 * 6
 
+    def test_noise_near_the_float_maximum_warns_nothing(self, tmp_path):
+        # --noise takes values up to the float maximum; a noise term that
+        # overflows to +-inf clamps as any observation beyond [0, 1] does.
+        # A child process, so that stderr is a user's, without the suite's
+        # warning filters
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "possibly.cli", "run", "--seed", "1",
+             "--noise", "1e308", "--steps", "5", "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert "final (1 run):" in done.stdout
+
     def test_run_singular_summary_line(self, tmp_path, capsys):
         main(["run", "--seed", "3", "--agents", "4", "--states", "3",
               "--steps", "2", "--out", str(tmp_path)])

@@ -686,7 +686,8 @@ class TestLevels:
         fuse_events = engine._fuse_events
 
         def counted(*args):
-            run, pairs = args[5], args[7]  # pair fusions come first
+            events, pairs = args[5], args[6]  # pair fusions come first
+            run = events[2] // 10  # the run of the row each event writes
             counts[0] += np.bincount(run[:pairs], minlength=len(runs))
             counts[1] += np.bincount(run[pairs:], minlength=len(runs))
             return fuse_events(*args)
@@ -714,7 +715,7 @@ class TestLevels:
         fuse_events = engine._fuse_events
 
         def counted(*args):
-            events.append(len(args[5]))
+            events.append(len(args[5][0]))
             return fuse_events(*args)
 
         monkeypatch.setattr(engine, "_fuse_events", counted)
@@ -731,7 +732,7 @@ class TestLevels:
         fuse_events = engine._fuse_events
 
         def counted(*args):
-            events.append(len(args[5]))
+            events.append(len(args[5][0]))
             return fuse_events(*args)
 
         monkeypatch.setattr(engine, "_fuse_events", counted)
@@ -824,6 +825,42 @@ class TestLevels:
         steps_result, levels_result = advance_both(runs)
         assert levels_result == steps_result
         assert steps_result[2][0] > 0
+
+    @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
+    def test_sparse_replay_where_passes_drop_evidence(self, model,
+                                                      monkeypatch):
+        # 50 runs of the paper's population at rho = 0.05, 250 evidence
+        # rows per step, take the sparse rule, whose level passes hold more
+        # than _SPARSE_ROWS evidence events and so leave out those on
+        # one-hot beliefs; the trajectory replay reads every event's metric
+        # columns from the beliefs it leaves, dropped events' included
+        runs = [SimParams(agents=100, states=5, rho=0.05, sigma=0.3,
+                          theta=THETA20, steps=60, model=model, seed=s)
+                for s in range(50)]
+        assert _sparse(runs)
+        steps_result, levels_result = advance_both(runs)
+        assert levels_result == steps_result
+        # the evidence events in passes of at least _SPARSE_ROWS of them,
+        # and of those the ones drawn and fused; and all the states drawn
+        counts, drawn = [0, 0], [0]
+        fuse_events, draw_states = engine._fuse_events, engine._draw_states_rows
+
+        def counted_events(*args):
+            evidence, before = len(args[5][0]) - args[6], drawn[0]
+            fuse_events(*args)
+            if evidence >= engine._SPARSE_ROWS:
+                counts[0] += evidence
+                counts[1] += drawn[0] - before
+
+        def counted_draws(p, u):
+            drawn[0] += len(u)
+            return draw_states(p, u)
+
+        monkeypatch.setattr(engine, "_fuse_events", counted_events)
+        monkeypatch.setattr(engine, "_draw_states_rows", counted_draws)
+        assert run_batch(runs)[0].tobytes() == steps_result[1]
+        # 14,828 events, of which 11% (possibilistic) and 17% are left out
+        assert counts[0] > 14000 and counts[1] < 0.9 * counts[0]
 
 
 class TestSelection:
@@ -1224,11 +1261,13 @@ class TestLoadDraws:
 
 
 def fuse_events_reference(rows_b, possibilistic, qualities, theta,
-                          degenerate, run, events, pairs, u_state=None,
+                          degenerate, events, pairs, u_state=None,
                           noise=None):
     """_fuse_events without its one-hot filter: every evidence event is
-    transformed, drawn, observed, fused and written."""
+    transformed, drawn, observed, fused and written, each in the run of
+    the row it writes."""
     x = rows_b[events[0]]
+    run = events[2] // (len(rows_b) // len(degenerate))
     y = rows_b[events[1][:pairs]] if pairs else None
     if pairs < len(x):
         ev = x[pairs:]
@@ -1246,16 +1285,16 @@ def fuse_events_reference(rows_b, possibilistic, qualities, theta,
     rows_b[events[2]] = fused
     if pairs:
         rows_b[events[3][:pairs]] = fused[:pairs]
-    return fused
 
 
 def event_pass(seed, model, r_count, n, pairs, evidence, hot_share,
                zero_share, random_one):
-    """The beliefs, (R * k, n), and the arguments after them of one
-    _fuse_events pass: `pairs` pair fusions per run, then `evidence`
-    evidence events, all on disjoint rows. A hot_share of the rows are
-    one-hot, a twentieth of those with a -0.0 entry, and a zero_share of
-    the state uniforms are 0.0; the other rows hold exact zeros and ties."""
+    """The beliefs, (R * k, n), and the arguments after the degenerate
+    counts of one _fuse_events pass: `pairs` pair fusions per run, then
+    `evidence` evidence events, all on disjoint rows. A hot_share of the
+    rows are one-hot, a twentieth of those with a -0.0 entry, and a
+    zero_share of the state uniforms are 0.0; the other rows hold exact
+    zeros and ties."""
     rng = np.random.default_rng(seed)
     k = -(-(evidence + 2 * pairs * r_count + 1) // r_count)
     rk = r_count * k
@@ -1281,23 +1320,21 @@ def event_pass(seed, model, r_count, n, pairs, evidence, hot_share,
     u_state = rng.random(evidence)
     u_state[rng.random(evidence) < zero_share] = 0.0
     noise = 0.3 * rng.standard_normal(evidence)
-    return b, events[0] // k, events, i.size, u_state, noise
+    return b, events, i.size, u_state, noise
 
 
-def both_passes(b, possibilistic, qualities, theta, run, events, pairs,
+def both_passes(b, r_count, possibilistic, qualities, theta, events, pairs,
                 u_state, noise):
-    """_fuse_events and fuse_events_reference on copies of b: per pass the
-    beliefs' bytes after it, the bytes of its returned rows and the
-    degenerate counts."""
+    """_fuse_events and fuse_events_reference on copies of b, the beliefs
+    of r_count runs: per pass the beliefs' bytes after it and the
+    degenerate counts, one per run."""
     results = []
     for fuse_events in (engine._fuse_events, fuse_events_reference):
         rows_b = b.copy()
-        degenerate = np.zeros(run.max(initial=0) + 1, dtype=np.int64)
-        rows = fuse_events(rows_b, possibilistic, qualities, theta,
-                           degenerate, run, events, pairs, u_state, noise)
-        assert rows.shape == (events.shape[1], b.shape[1])
-        results.append((rows_b.tobytes(), rows.tobytes(),
-                        degenerate.tolist()))
+        degenerate = np.zeros(r_count, dtype=np.int64)
+        assert fuse_events(rows_b, possibilistic, qualities, theta,
+                           degenerate, events, pairs, u_state, noise) is None
+        results.append((rows_b.tobytes(), degenerate.tolist()))
     return results
 
 
@@ -1375,22 +1412,22 @@ class TestOneHotEvidence:
     def test_pass_equals_the_unfiltered_pass(self, model, r_count, n, pairs,
                                              evidence, hot_share, zero_share,
                                              random_one, seed, data):
-        b, run, events, pair_count, u_state, noise = event_pass(
+        b, events, pair_count, u_state, noise = event_pass(
             seed, model, r_count, n, pairs, evidence, hot_share, zero_share,
             random_one)
         if not events.shape[1]:
             return
         thetas = data.draw(branch_thetas(r_count))
-        got, want = both_passes(b, model == POSSIBILISTIC,
+        got, want = both_passes(b, r_count, model == POSSIBILISTIC,
                                 _default_qualities(n), _FrankRows.of(thetas),
-                                run, events, pair_count, u_state, noise)
+                                events, pair_count, u_state, noise)
         assert got == want
 
     @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
     @pytest.mark.parametrize("pairs", (0, 2))
     def test_a_pass_that_drops_every_evidence_event(self, model, pairs,
                                                     monkeypatch):
-        b, run, events, pair_count, u_state, noise = event_pass(
+        b, events, pair_count, u_state, noise = event_pass(
             3, model, 2, 5, pairs, 300, 1.0, 0.0, False)
         b[b == 0.0] = 0.0  # no -0.0 entries, so every evidence row drops
         drawn = []
@@ -1401,9 +1438,9 @@ class TestOneHotEvidence:
             return draw_states(p, u)
 
         monkeypatch.setattr(engine, "_draw_states_rows", counted)
-        got, want = both_passes(b, model == POSSIBILISTIC,
+        got, want = both_passes(b, 2, model == POSSIBILISTIC,
                                 _default_qualities(5), _FrankRows.of([THETA20]),
-                                run, events, pair_count, u_state, noise)
+                                events, pair_count, u_state, noise)
         assert got == want
         assert drawn == []
         if not pairs:  # nothing fused: the beliefs stay as they were
@@ -1415,20 +1452,20 @@ class TestOneHotEvidence:
         # can change its row and must be fused: with an observed quality of
         # 1 the possibilistic row takes 1 at state 0 too, and the product
         # has no mass left and resets to uniform
-        b, run, events, pair_count, u_state, noise = event_pass(
+        b, events, pair_count, u_state, noise = event_pass(
             4, model, 1, 5, 0, 300, 1.0, 0.0, False)
         b[b == 0.0] = 0.0
         row = events[0, 0]
         b[row] = 0.0
         b[row, 3] = 1.0
         u_state[0], noise[0] = 0.0, 5.0
-        got, want = both_passes(b, model == POSSIBILISTIC,
+        got, want = both_passes(b, 1, model == POSSIBILISTIC,
                                 _default_qualities(5), _FrankRows.of([THETA20]),
-                                run, events, pair_count, u_state, noise)
+                                events, pair_count, u_state, noise)
         assert got == want
         assert np.frombuffer(got[0]).reshape(b.shape)[row].tolist() \
             != b[row].tolist()
-        assert got[2] == [0 if model == POSSIBILISTIC else 1]
+        assert got[1] == [0 if model == POSSIBILISTIC else 1]
 
     @pytest.mark.parametrize("model, drawn, fused", (
         (POSSIBILISTIC, 40300, 19556), (PROBABILISTIC, 40300, 18760)))
@@ -1444,7 +1481,7 @@ class TestOneHotEvidence:
         fuse_events, draw_states = engine._fuse_events, engine._draw_states_rows
 
         def counted_events(*args):
-            counts[0] += len(args[5]) - args[7]
+            counts[0] += len(args[5][0]) - args[6]
             return fuse_events(*args)
 
         def counted_draws(p, u):
@@ -1458,6 +1495,28 @@ class TestOneHotEvidence:
 
 
 class TestNumericalEdges:
+    @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
+    @pytest.mark.parametrize("rho", (0.05, 1.0), ids=("sparse", "dense"))
+    @pytest.mark.parametrize("compiled", (True, False), ids=("C", "py"))
+    def test_noise_near_the_float_maximum(self, compiled, rho, model,
+                                          monkeypatch):
+        # sigma = 1e308 is in range, and sigma * eps overflows to +-inf for
+        # |eps| > 1.8; such an observation clamps to 0 or 1, as one at
+        # sigma = 1e300 does, and nothing warns (the suite makes warnings
+        # errors). On the compiled draw and on the Python loop
+        if compiled and engine._DRAWS is None:
+            pytest.skip("the compiled draw is not built")
+        if not compiled:
+            monkeypatch.setattr(engine, "_DRAWS", None)
+        outputs = []
+        for sigma in (1e308, 1e300):
+            runs = [params(agents=100, rho=rho, sigma=sigma, steps=20, seed=s,
+                           model=model) for s in range(3)]
+            metrics, degenerate = run_batch(runs)
+            assert np.isfinite(metrics).all()
+            outputs.append((metrics.tobytes(), degenerate.tolist()))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("model", (POSSIBILISTIC, PROBABILISTIC))
     def test_one_hot_population_stays_valid(self, model):
         # every agent certain of one state, the states spread over agents

@@ -212,6 +212,17 @@ class TestReversalProbability:
         rng = np.random.default_rng(0)
         assert reversal_probability(env, NoiseSpec(sigma=0.0), 5, 4, 1000, rng) == 0.0
 
+    def test_noise_near_the_float_maximum(self):
+        # sigma * eps overflows to +-inf for |eps| > 1.8 at sigma = 1e308,
+        # in range; such an observation clamps to 0 or 1, as any beyond
+        # them does, and nothing warns (the suite makes warnings errors)
+        env = EnvironmentSpec.default(5)
+        p, q = (reversal_probability(env, NoiseSpec(sigma), 5, 4, 1000,
+                                     np.random.default_rng(3))
+                for sigma in (1e308, 1e300))
+        assert p == q
+        assert p == pytest.approx(0.25, abs=0.05)  # both signs, i's low
+
     def test_matches_published_point_loosely(self):
         # the tight +-0.01 check at 10^6 samples lives in the acceptance suite
         env = EnvironmentSpec.default(5)
