@@ -25,11 +25,13 @@ CHANGE first when it is odd. The shapes (SHAPES):
 Per shape it prints the median process time of each side, their ratio, in
 how many pairs the change was faster, the median minor faults of the
 batches, the largest ru_maxrss of the processes and, per side, how its
-samples drew: "C" where the compiled draw (engine._DRAWS) was live in
-every sample, "py" where in none (a checkout without it included), "mixed"
-otherwise. It exits 1 if the two checkouts' metrics or degenerate counts
-differ anywhere. Peak RSS moves with the length of the checkout's path, so
-a warning says when the two paths differ in length.
+samples ran: "C" where the compiled helper (engine._DRAWS) was live with
+its three entry points in every sample, or, in a checkout from before it
+had three, where its compiled draw was; "py" where in none (a checkout
+without it included); "mixed" otherwise. It exits 1 if the two
+checkouts' metrics or degenerate counts differ anywhere. Peak RSS moves
+with the length of the checkout's path, so a warning says when the two
+paths differ in length.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ import os
 import statistics
 import subprocess
 import sys
+
+# the compiled helper's entry points: the draw, the level assignment and
+# the metric column advance
+ENTRIES = ("draw_events", "assign_levels", "advance_columns")
 
 # name: (runs, agents, states, rho, steps, final capture); fig8 and fig7
 # are built from their presets
@@ -87,9 +93,18 @@ def _batches(shape: str, steps: int | None, seed: int):
             for model in ("possibilistic", "probabilistic")]
 
 
+def compiled(engine) -> bool:
+    """Whether engine's compiled helper is live: engine._DRAWS with every
+    one of ENTRIES, or, in a checkout whose _DRAWS is its compiled draw
+    function alone, that function."""
+    draws = getattr(engine, "_DRAWS", None)
+    return draws is not None and (
+        callable(draws) or all(hasattr(draws, name) for name in ENTRIES))
+
+
 def _sample(shape: str, steps: int | None, seed: int) -> dict:
     """Run one shape in this process: its process time, minor faults,
-    ru_maxrss, the sha256 of its outputs, whether the compiled draw was
+    ru_maxrss, the sha256 of its outputs, whether the compiled helper was
     live and the package it imported."""
     import resource
     import time
@@ -110,7 +125,7 @@ def _sample(shape: str, steps: int | None, seed: int) -> dict:
         digest.update(degenerate.tobytes())
     return {"cpu_s": cpu_s, "minflt": usage.ru_minflt - before,
             "maxrss_kb": usage.ru_maxrss, "sha256": digest.hexdigest(),
-            "compiled": getattr(engine, "_DRAWS", None) is not None,
+            "compiled": compiled(engine),
             "package": os.path.dirname(possibly.__file__)}
 
 
@@ -137,7 +152,7 @@ def _run_sample(checkout: str, shape: str, steps: int | None,
 
 
 def draw_path(samples: list[dict]) -> str:
-    """How a side's samples drew: "C", "py" or "mixed"."""
+    """How a side's samples ran: "C", "py" or "mixed"."""
     compiled = {s["compiled"] for s in samples}
     return "mixed" if len(compiled) > 1 else "C" if compiled.pop() else "py"
 

@@ -1,8 +1,11 @@
-"""Count the code lines of each module of src/possibly and in total.
+"""Count the code lines of each module of src/possibly, its C source
+included, and in total.
 
-A code line is a line that a token other than a comment spans; a string
-that stands alone as a statement (a docstring) is not code, so docstrings,
-comments and blank lines are left out. Run from anywhere:
+A code line is a line that a token other than a comment spans. In Python a
+string that stands alone as a statement (a docstring) is not code, so
+docstrings, comments and blank lines are left out; in C, comments and blank
+lines are, and a string or character literal is code even where it holds a
+comment's marks. Run from anywhere:
 
     python scripts/code_lines.py
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import io
 import pathlib
+import re
 import tokenize
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "possibly"
@@ -38,10 +42,28 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+# a C comment, a string or character literal, or a run of other characters
+# that are not white space
+_C_TOKEN = re.compile(
+    r"""/\*.*?\*/|//[^\n]*|"(?:\\.|[^"\\])*"|'(?:\\.|[^'\\])*'|[^\s"'/]+|/""",
+    re.S)
+
+
+def c_code_lines(source: str) -> int:
+    """The number of code lines in C source."""
+    lines = set()
+    for token in _C_TOKEN.finditer(source):
+        if not token.group().startswith(("/*", "//")):
+            first = source.count("\n", 0, token.start()) + 1
+            lines.update(range(first, first + token.group().count("\n") + 1))
+    return len(lines)
+
+
 def main() -> None:
     total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(PACKAGE.glob("*.c")):
+        count = (c_code_lines if path.suffix == ".c" else code_lines)(
+            path.read_text(encoding="utf-8"))
         total += count
         print(f"{path.name:<16} {count:>5}")
     print(f"{'total':<16} {total:>5}")

@@ -26,7 +26,8 @@ so that changing rho or sigma alone never reorders the remaining stream.
 _draw_events keeps that schedule, down to each generator's full state
 after every step. Its draws, _draw_chunk, are one call per chunk of steps
 into draw_events of _draws.c, a C file next to this one, loaded by
-ctypes. Per step and run, on the run's own bitgen_t (taken from
+ctypes, whose two other entry points run the sparse rule's per-step
+bookkeeping (below). Per step and run, on the run's own bitgen_t (taken from
 bits.capsule, once per batch), it draws the pair and then fills 2k
 uniforms, the state and then the success uniforms as two random(k) calls
 draw them, and k normals with random_standard_uniform_fill and
@@ -55,11 +56,14 @@ peak to its own. Measured on a 2-vCPU host in perfbench's order of calls,
 the compiler spawned at import read 34.8 MB, below the 36.2 MB of the
 uname child that perfbench spawns anyway, where the process had grown to
 41 MB after one warm-up repeat of `trajectory`. Where cc is missing, the
-cache cannot be written or the library does not build or load, _DRAWS
-is None, nothing is spawned and nothing is warned, and the Python loop
-draws the same bits: per run and step one random(2k) fill, one
-standard_normal(k) and the pair through _bounded, the same algorithm on
-the bit generator's ctypes next_uint32.
+cache cannot be written or the library does not build, load or hold all
+three entry points, _DRAWS is None, nothing is spawned and nothing is
+warned, and Python loops give the same bits: the draws per run and step
+one random(2k) fill, one standard_normal(k) and the pair through
+_bounded, the same algorithm on the bit generator's ctypes next_uint32;
+and the sparse rule's levels and metric columns the loops of
+_assign_levels and _window_metrics, whose steps the C loops replay write
+for write.
 
 Runs that share their shape (every SimParams field except rho, sigma,
 seed and the value of theta within its Frank branch, see lockstep_key)
@@ -108,7 +112,11 @@ The sparse rule:
 - each event, a pair fusion or one agent's evidence, gets a level one past
   the highest level of any agent it reads or writes, and gives that level to
   those agents. A step's pair comes before its evidence, so an adopter's
-  evidence waits one level; events that share a level touch disjoint agents;
+  evidence waits one level; events that share a level touch disjoint agents.
+  A chunk's levels are assigned as it is drawn, by one _assign_levels
+  call: assign_levels of _draws.c, one sequential pass over the chunk's
+  events, writes them in the window's level type (8 or 16 bits at the
+  paper's sizes, so that the stable sort by level stays a radix sort);
 - a level window gathers the events of consecutive chunks, whose levels
   run on across them, until the run ends or the next chunk would take it
   past _WINDOW_EVENTS events; the agents' levels restart at 0 with each
@@ -120,7 +128,10 @@ The sparse rule:
   window's writes in step order, one chunk at a time. A write's columns
   are read from the beliefs after its level's pass: the level's events
   touch disjoint agents, and the first row an event writes holds the row
-  it leaves, a left-out event's unchanged.
+  it leaves, a left-out event's unchanged. Per chunk one _window_metrics
+  call advances the columns, by advance_columns of _draws.c, another
+  sequential pass over the chunk's writes, into a (w, m, R * k) array of
+  its steps, which one _agent_means call reduces.
 
 A dense batch's passes hold hundreds of rows each, so gathering them in
 level windows gains little and costs memory: on `large`, dependency levels
@@ -137,7 +148,12 @@ rule writes those of each step after it, by _metrics_from_array, and the
 sparse rule rebuilds them as above.
 
 At the paper's population (100 agents, 5 states, rho = 0.05) a step of one
-or two runs fuses about a dozen rows in some 140 numpy calls. Fig8's
+or two runs fuses about a dozen rows, so per-call overhead, not arithmetic,
+sets its cost. With the levels and metric columns in _draws.c, fig8's two
+batches at the `trajectory` size took 33.0 ms of process time where the
+Python loops took 47.1 ms, 22 against 31 us per step, and `trajectory`'s
+scaled wall_s went 0.072 -> 0.050 s (medians of 10 alternating pairs on a
+2-vCPU host). Fig8's
 possibilistic batch, 2 runs of 750 steps, holds 8,999 events: one level
 window takes them in 107 passes, where level windows of 40 steps would
 take 180 and the dense rule 1,500. The constants, as measured
@@ -372,10 +388,11 @@ def _bounded(bits: np.random.BitGenerator, bound: int) -> int:
 
 
 def _load_draws(cache: str):
-    """_draws.c's draw_events, loaded by ctypes from its library in the
-    directory cache, which is built there first if it is missing; None,
-    for the Python loop, if it cannot be built or loaded. The library's
-    name holds numpy's version and a hash of it, the source and the
+    """_draws.c's library, loaded by ctypes from the directory cache, where
+    it is built first if it is missing, with its three entry points
+    draw_events, assign_levels and advance_columns declared; None, for the
+    Python loops, if it cannot be built or loaded or lacks one. The
+    library's name holds numpy's version and a hash of it, the source and the
     compile command. It is built under a temporary name and renamed into
     place, so that builds at once leave one whole file, and then the
     libraries of that numpy version's other names are removed; nothing is
@@ -420,13 +437,22 @@ def _load_draws(cache: str):
             if name.startswith(version) and os.path.join(cache, name) != path:
                 with contextlib.suppress(OSError):
                     os.remove(os.path.join(cache, name))
+    # arrays go as ndpointers, which check each one's dtype and that it is
+    # contiguous; values may be a column range, and levels of any dtype
+    n, i, array = ctypes.c_ssize_t, ctypes.c_int, np.ctypeslib.ndpointer
+    rows, doubles = array(np.intp, flags="C"), array(np.float64, flags="C")
+    values, levels = array(np.float64), array(flags="C")
     try:
-        draws = ctypes.CDLL(path).draw_events
-    except OSError:
+        draws = ctypes.CDLL(path)
+        for entry, argtypes in (
+                (draws.draw_events, (ctypes.c_void_p, n, n, n, i, i, rows,
+                                     doubles, doubles)),
+                (draws.assign_levels, (i, *[levels] * 3, n, n, *[rows] * 3)),
+                (draws.advance_columns, (n, n, n, n, rows, values, rows,
+                                         values, rows, n, doubles, doubles))):
+            entry.argtypes, entry.restype = argtypes, None
+    except (OSError, AttributeError):
         return None
-    draws.argtypes = (ctypes.c_void_p,) + (ctypes.c_ssize_t,) * 3 \
-        + (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 3
-    draws.restype = None
     return draws
 
 
@@ -466,8 +492,8 @@ def _draw_chunk(rngs: Sequence[np.random.Generator], params: SimParams,
     if bitgens is not None:
         pairs = np.empty((w, r_count if params.fusion_enabled else 0, 4),
                          dtype=np.intp)
-        _DRAWS(bitgens, r_count, w, k, params.fusion_enabled, random_one,
-               pairs.ctypes.data, u.ctypes.data, eps.ctypes.data)
+        _DRAWS.draw_events(bitgens, r_count, w, k, params.fusion_enabled,
+                           random_one, pairs, u, eps)
         return pairs, u, eps
     pairs = []
     for t in range(w):
@@ -669,11 +695,11 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
     most = max(_WINDOW_EVENTS, rk + r_pairs)
     level_type = np.min_scalar_type(min(most, 2 * params.steps))
     agent_level = np.zeros(rk, dtype=level_type)
-    # the level window's chunks: per chunk its first step, its steps, its
-    # first pair and the evidence index at which each step begins; and
-    # per chunk its pieces of the window's events: the pairs' rows i and j
-    # and two adopters, their levels, and per evidence event its agent
-    # row, level, state uniform and noise term
+    # the level window's chunks: per chunk its first step, its steps, the
+    # range of its pairs and the evidence index at which each step begins;
+    # and per chunk its pieces of the window's events: the pairs' rows i
+    # and j and two adopters, their levels, and per evidence event its
+    # agent row, level, state uniform and noise term
     chunks = []
     pieces = ([], [], [], [], [], [])
     p_held = e_held = 0
@@ -713,14 +739,10 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
                 values[:, by_level[start:stop]] = _metric_columns(
                     rows_b.take(events[2, start:stop], axis=0), params.model)
         if trajectory:  # each chunk's metrics, in step order
-            e_values = values[:, p_held:]
-            for t0, w, p0, e_ends in chunks:
-                p1 = p0 + w * r_pairs
-                _window_metrics(metrics[:, t0:t0 + w], columns,
-                                pairs[p0:p1, 2:].reshape(w, r_pairs, 2),
-                                values[:, p0:p1].reshape(len(values), w,
-                                                          r_pairs, 1),
-                                e_row, e_values, e_ends)
+            for t0, w, p0, p1, e_ends in chunks:
+                _window_metrics(metrics[:, t0:t0 + w], columns, pairs[p0:p1],
+                                values[:, p0:p1], e_row, values[:, p_held:],
+                                e_ends)
 
     for t0 in range(0, params.steps, span):
         w = min(span, params.steps - t0)
@@ -744,54 +766,75 @@ def _run_levels(b: np.ndarray, params: SimParams, qualities: np.ndarray,
             chunks, p_held, e_held = [], 0, 0
             agent_level[:] = 0
 
-        # each event's level, one past the highest level of the agents it
-        # reads or writes, which it then gives them; the pairs of a step
-        # come before its evidence, and runs share no agents
         pair_level = np.empty((w, r_pairs), dtype=level_type)
         e_level = np.empty(f.size, dtype=level_type)
-        for t in range(w):
-            if r_pairs:
-                i, j, level = pairs[t, :, 0], pairs[t, :, 1], pair_level[t]
-                np.maximum(agent_level[i], agent_level[j], out=level)
-                level += 1
-                agent_level[i] = level
-                agent_level[j] = level
-            rows = e_row[e_ends[t]:e_ends[t + 1]]
-            level = e_level[e_ends[t]:e_ends[t + 1]]
-            np.add(agent_level[rows], 1, out=level)
-            agent_level[rows] = level
+        _assign_levels(agent_level, pairs, e_row, e_ends, pair_level, e_level)
 
         for piece, value in zip(pieces, (pairs.reshape(-1, 4),
                                          pair_level.ravel(), e_row, e_level,
                                          e_u, e_noise)):
             piece.append(value)
-        chunks.append((t0, w, p_held, (e_held + e_ends).tolist()))
-        p_held += w * r_pairs
+        p0, p_held = p_held, p_held + w * r_pairs
+        chunks.append((t0, w, p0, p_held, e_held + e_ends))
         e_held += f.size
     if chunks:
         fuse_window()
     return degenerate
 
 
-def _window_metrics(out: np.ndarray, columns: np.ndarray,
-                    adopters: np.ndarray, pair_values: np.ndarray,
-                    e_row: np.ndarray, e_values: np.ndarray,
-                    e_ends: Sequence[int]) -> None:
+def _assign_levels(agent_level: np.ndarray, pairs: np.ndarray,
+                   e_row: np.ndarray, e_ends: np.ndarray,
+                   pair_level: np.ndarray, e_level: np.ndarray) -> None:
+    """A chunk's dependency levels, written into pair_level, (w, R), and
+    e_level: each event's level is one past the highest level in
+    agent_level of the agents it reads or writes, which it then gives them.
+    The chunk is _draw_events' pairs, (w, R, 4), and evidence rows e_row,
+    step t's at e_ends[t]:e_ends[t + 1]; the pairs of a step come before
+    its evidence, and runs share no agents. The three level arrays share
+    one unsigned dtype. By one _DRAWS call, or by the Python loop where
+    _DRAWS is None."""
+    if _DRAWS is not None:
+        _DRAWS.assign_levels(agent_level.itemsize, agent_level, pair_level,
+                             e_level, *pair_level.shape, pairs, e_row, e_ends)
+        return
+    for t in range(len(pair_level)):
+        i, j, level = pairs[t, :, 0], pairs[t, :, 1], pair_level[t]
+        np.maximum(agent_level[i], agent_level[j], out=level)
+        level += 1
+        agent_level[i] = agent_level[j] = level
+        rows = e_row[e_ends[t]:e_ends[t + 1]]
+        level = e_level[e_ends[t]:e_ends[t + 1]]
+        np.add(agent_level[rows], 1, out=level)
+        agent_level[rows] = level
+
+
+def _window_metrics(out: np.ndarray, columns: np.ndarray, pairs: np.ndarray,
+                    pair_values: np.ndarray, e_row: np.ndarray,
+                    e_values: np.ndarray, e_ends: np.ndarray) -> None:
     """A chunk's per-step metrics, written into out, an (R, w, m) view.
     columns holds the agents' metric columns before the chunk, (m, R * k).
-    adopters, (w, R, 2), holds each step's pair adopters and pair_values,
-    (m, w, R, 1), their metric columns; step t's evidence events are
-    e_row's agent rows and e_values' (m, events) columns at
-    e_ends[t]:e_ends[t + 1]. The columns are advanced step by step in
-    place, and the chunk's steps are reduced by one _agent_means call."""
+    pairs, (w * R, 4), holds each step's pairs, whose last two entries are
+    its adopters, and pair_values, (m, w * R), their metric columns; step t's
+    evidence events are e_row's agent rows and e_values' (m, events)
+    columns at e_ends[t]:e_ends[t + 1]. pair_values and e_values are column
+    ranges of one array. The columns are advanced step by step in place, by
+    one _DRAWS call or by the Python loop where _DRAWS is None, and the
+    chunk's steps are reduced by one _agent_means call."""
     r_count, w, m = out.shape
     steps = np.empty((w,) + columns.shape)
-    for t in range(w):
-        # the pair first: an adopter's evidence in the same step follows
-        columns[:, adopters[t]] = pair_values[:, t]
-        step = slice(e_ends[t], e_ends[t + 1])
-        columns[:, e_row[step]] = e_values[:, step]
-        steps[t] = columns
+    if _DRAWS is not None:
+        _DRAWS.advance_columns(w, len(pairs) // w, m, columns.shape[1], pairs,
+                               pair_values, e_row, e_values, e_ends,
+                               e_values.strides[0] // 8, columns, steps)
+    else:
+        adopters = pairs[:, 2:].reshape(w, -1, 2)
+        pair_values = pair_values.reshape(m, w, -1, 1)
+        for t in range(w):
+            # the pair first: an adopter's evidence in the same step follows
+            columns[:, adopters[t]] = pair_values[:, t]
+            step = slice(e_ends[t], e_ends[t + 1])
+            columns[:, e_row[step]] = e_values[:, step]
+            steps[t] = columns
     out[:] = _agent_means(steps.reshape(w, m, r_count, -1)).swapaxes(0, 1)
 
 

@@ -8,6 +8,7 @@ import importlib.util
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +30,7 @@ def test_a_checkout_against_itself():
     assert [row[0] for row in rows[1:]] == list(ab_shapes.SHAPES)
     assert all(len(row) == 11 and row[4].endswith("/1") for row in rows[1:])
     # the samples import this checkout, and so draw as this process does
-    path = "py" if engine._DRAWS is None else "C"
+    path = "C" if ab_shapes.compiled(engine) else "py"
     assert all(row[9:] == [path, path] for row in rows[1:])
     assert "warning" not in done.stderr
 
@@ -51,6 +52,24 @@ def test_each_side_says_how_it_drew():
         [sample(1.0), sample(1.0, compiled=False)])
     assert line.split()[-2:] == ["py", "mixed"]
     assert ab_shapes.draw_path([sample(1.0)]) == "C"
+
+
+def test_compiled_needs_every_entry_point():
+    # this checkout's helper needs all three entry points; an older
+    # checkout's _DRAWS is its compiled draw function alone
+    def old_draw():
+        pass
+
+    class Helper:
+        draw_events = assign_levels = old_draw
+
+    assert ab_shapes.compiled(engine) == (engine._DRAWS is not None)
+    assert not ab_shapes.compiled(SimpleNamespace(_DRAWS=None))
+    assert not ab_shapes.compiled(SimpleNamespace())
+    assert not ab_shapes.compiled(SimpleNamespace(_DRAWS=Helper()))
+    Helper.advance_columns = old_draw
+    assert ab_shapes.compiled(SimpleNamespace(_DRAWS=Helper()))
+    assert ab_shapes.compiled(SimpleNamespace(_DRAWS=old_draw))
 
 
 def test_outputs_that_differ_fail():

@@ -581,31 +581,42 @@ def advance_both(runs, final_only=False, buffered=False):
     rule, by dependency level, each from streams seeded as run_batch seeds
     them, which with buffered enter with a buffered half-word: per rule the
     final beliefs' bytes, the metrics' bytes, the degenerate counts and
-    every generator's final state."""
+    every generator's final state. Each rule runs on the compiled helper
+    and, with _DRAWS patched to None, on the Python loops, and must give
+    the same results on both, which is asserted here."""
     shape = runs[0]
-    results = []
-    for sparse in (False, True):
-        rngs = [fresh_rng(p.seed) for p in runs]
-        if buffered:
-            for g in rngs:
-                g.integers(5)
-        b = _initial_beliefs(shape, len(runs))
-        metrics = np.empty((len(runs), 1 if final_only else shape.steps + 1,
-                            len(METRICS[shape.model])))
-        # step 0's metrics, or with final_only the last step's alone, as
-        # run_batch writes them
-        if not final_only:
-            metrics[:, 0] = _metrics_from_array(b, shape.model)
-        degenerate = _run_levels(
-            b, shape, np.asarray(EnvironmentSpec.default(shape.states).qualities),
-            np.array([p.rho for p in runs]), np.array([p.sigma for p in runs]),
-            _FrankRows.of([p.theta for p in runs]), rngs, metrics[:, 1:],
-            sparse)
-        if final_only:
-            metrics[:, 0] = _metrics_from_array(b, shape.model)
-        results.append((b.tobytes(), metrics.tobytes(), degenerate.tolist(),
-                        [stream_state(g) for g in rngs]))
-    return results
+    per_path = []
+    for compiled in (engine._DRAWS, None):
+        results = []
+        for sparse in (False, True):
+            rngs = [fresh_rng(p.seed) for p in runs]
+            if buffered:
+                for g in rngs:
+                    g.integers(5)
+            b = _initial_beliefs(shape, len(runs))
+            metrics = np.empty((len(runs),
+                                1 if final_only else shape.steps + 1,
+                                len(METRICS[shape.model])))
+            # step 0's metrics, or with final_only the last step's alone,
+            # as run_batch writes them
+            if not final_only:
+                metrics[:, 0] = _metrics_from_array(b, shape.model)
+            qualities = EnvironmentSpec.default(shape.states).qualities
+            with mock.patch.object(engine, "_DRAWS", compiled):
+                degenerate = _run_levels(
+                    b, shape, np.asarray(qualities),
+                    np.array([p.rho for p in runs]),
+                    np.array([p.sigma for p in runs]),
+                    _FrankRows.of([p.theta for p in runs]), rngs,
+                    metrics[:, 1:], sparse)
+            if final_only:
+                metrics[:, 0] = _metrics_from_array(b, shape.model)
+            results.append((b.tobytes(), metrics.tobytes(),
+                            degenerate.tolist(),
+                            [stream_state(g) for g in rngs]))
+        per_path.append(results)
+    assert per_path[0] == per_path[1]
+    return per_path[0]
 
 
 # level window caps (_WINDOW_EVENTS), which also bound a chunk of draws:
@@ -1162,11 +1173,113 @@ class TestCompiledDraws:
         assert len(given) > 1 and all(g is given[0] for g in given)
 
 
+def against_the_loop(name, outputs, calls):
+    """engine's function `name`, which runs on _DRAWS or, where _DRAWS is
+    None, on its Python loop, wrapped to run on the compiled helper and, on
+    copies of its array arguments, on the Python loop, and to assert that
+    both leave every array argument with the same dtype and bytes. The
+    arguments at the indices in outputs are written, not read: they enter
+    the compiled call with every byte 0xFF and the Python loop with every
+    byte 0, so an entry that either leaves unwritten differs. calls counts
+    the calls by name."""
+    function = getattr(engine, name)
+
+    def both(*args):
+        copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        for i in outputs:
+            args[i].view(np.uint8)[...] = 0xFF
+            copies[i][...] = 0
+        function(*args)
+        with mock.patch.object(engine, "_DRAWS", None):
+            function(*copies)
+        for a, b in zip(args, copies):
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        calls[name] += 1
+
+    return both
+
+
+def compared_with_the_loops(calls):
+    """Patches that compare _assign_levels and _window_metrics on the
+    compiled helper with their Python loops at every call."""
+    return (mock.patch.object(engine, "_assign_levels", against_the_loop(
+                "_assign_levels", (4, 5), calls)),
+            mock.patch.object(engine, "_window_metrics", against_the_loop(
+                "_window_metrics", (0,), calls)))
+
+
+class TestCompiledSparseRule:
+    """The sparse rule's per-chunk bookkeeping on the compiled helper, each
+    event's dependency level and the advance of the agents' metric columns
+    step by step, writes what the Python loops write, on the chunks that a
+    batch draws, in every level window."""
+
+    @needs_compiled
+    @settings(max_examples=100)
+    @given(k=st.one_of(st.integers(2, 8), st.just(100)),
+           n=st.sampled_from((2, 5)),
+           model=st.sampled_from((POSSIBILISTIC, PROBABILISTIC)),
+           fusion=st.booleans(),
+           adoption=st.sampled_from((ADOPT_BOTH, ADOPT_RANDOM_ONE)),
+           mix=st.lists(st.tuples(st.one_of(st.sampled_from((0.0, 0.05, 1.0)),
+                                            st.floats(0.0, 1.0)),
+                                  st.floats(0.0, 3.0)),
+                        min_size=1, max_size=3),
+           steps=st.integers(1, 40), window=st.sampled_from(WINDOWS),
+           seed=st.integers(0, 2 ** 32))
+    def test_equals_the_python_loops(self, k, n, model, fusion, adoption, mix,
+                                     steps, window, seed):
+        # every batch on the sparse rule, rho = 1 included; at 100 agents
+        # the caps of 300 and 1 draw one-step chunks
+        runs = [SimParams(agents=k, states=n, rho=rho, sigma=sigma,
+                          theta=THETA20, steps=steps, model=model,
+                          seed=seed + r, fusion_enabled=fusion,
+                          fusion_adoption=adoption)
+                for r, (rho, sigma) in enumerate(mix)]
+        calls = {"_assign_levels": 0, "_window_metrics": 0}
+        levels, metrics = compared_with_the_loops(calls)
+        with windows(window), levels, metrics, \
+                mock.patch.object(engine, "_sparse", lambda _: True):
+            run_batch(runs)
+        assert calls["_assign_levels"] >= 1
+        assert calls["_window_metrics"] == calls["_assign_levels"]
+
+    @needs_compiled
+    @pytest.mark.parametrize("dtype", (np.uint8, np.uint16, np.uint32,
+                                       np.uint64))
+    def test_levels_of_every_width(self, dtype):
+        # a chunk of 6 steps of 3 runs of 20 agents at rho = 0.5, on agent
+        # levels drawn from the upper half of what lies 100 below the
+        # dtype's largest, so that the levels, which a step raises by at
+        # most 2, fill each width's high bits without overflow
+        p = params(agents=20, fusion_adoption=ADOPT_RANDOM_ONE)
+        rngs = [fresh_rng(s) for s in range(3)]
+        pairs, f, _, _ = engine._draw_events(rngs, p, np.full(3, 0.5),
+                                             np.zeros(3), 6)
+        e_ends = np.searchsorted(f, np.arange(7) * 60)
+        top = min(np.iinfo(dtype).max, 2 ** 63) - 100
+        agent_level = np.random.default_rng(1).integers(
+            top // 2, top, size=60, endpoint=True).astype(dtype)
+        pair_level = np.empty((6, 3), dtype=dtype)
+        e_level = np.empty(f.size, dtype=dtype)
+        calls = {"_assign_levels": 0}
+        against_the_loop("_assign_levels", (4, 5), calls)(
+            agent_level, pairs, f % 60, e_ends, pair_level, e_level)
+        assert calls["_assign_levels"] == 1
+        assert pair_level.min() > top // 2 and e_level.max() <= top + 12
+
+
+ENTRIES = ("draw_events", "assign_levels", "advance_columns")
+
+
 class TestLoadDraws:
     """_load_draws builds the library into its cache directory once, and
-    later loads reuse it; a build removes the libraries it supersedes;
-    without cc or a writable cache it spawns and warns nothing and returns
-    None, and builds at once leave one whole library."""
+    later loads reuse it, with all three entry points declared; a build
+    removes the libraries it supersedes; without cc or a writable cache it
+    spawns and warns nothing and returns None, as it does for a library
+    that lacks an entry point, and builds at once leave one whole
+    library."""
 
     @pytest.fixture
     def spawned(self, monkeypatch):
@@ -1183,10 +1296,14 @@ class TestLoadDraws:
 
     @staticmethod
     def draws_like_the_loop(draws):
+        """Whether draws is a library whose three entry points are declared,
+        and whose draw gives the Python loop's bits."""
         p = params(agents=7, fusion_adoption=ADOPT_RANDOM_ONE)
-        return draws is not None and draws_equal(
-            draws, [fresh_rng(s) for s in range(3)],
-            [fresh_rng(s) for s in range(3)], p, 5)
+        return (draws is not None
+                and all(getattr(draws, name).restype is None
+                        and getattr(draws, name).argtypes for name in ENTRIES)
+                and draws_equal(draws, [fresh_rng(s) for s in range(3)],
+                                [fresh_rng(s) for s in range(3)], p, 5))
 
     @staticmethod
     def load_quietly(cache):
@@ -1222,6 +1339,27 @@ class TestLoadDraws:
         library, = set(os.listdir(tmp_path)) - {other.name}
         assert library.startswith(f"_draws-{np.__version__}-")
         assert library != stale.name and other.exists()
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc")
+    @pytest.mark.parametrize("missing", ENTRIES)
+    def test_a_library_without_an_entry_point(self, tmp_path, missing,
+                                              monkeypatch):
+        # a library that loads but lacks one entry point gives the Python
+        # loops, not a helper that fails at its first call
+        cdll = ctypes.CDLL
+
+        class Lacking:
+            def __init__(self, path):
+                self.library = cdll(path)
+
+            def __getattr__(self, name):
+                if name == missing:
+                    raise AttributeError(name)
+                return getattr(self.library, name)
+
+        assert self.draws_like_the_loop(self.load_quietly(tmp_path))
+        monkeypatch.setattr(ctypes, "CDLL", Lacking)
+        assert self.load_quietly(tmp_path) is None
 
     def test_no_compiler(self, tmp_path, spawned, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path / "bin"))
